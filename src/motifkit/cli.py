@@ -65,8 +65,6 @@ EXIT_NO = 1
 EXIT_PARSE = 2
 EXIT_CAPACITY = 3
 
-BRUTE_AUTO_CAP = 25
-
 
 def _read_text(path: str) -> str:
     try:
@@ -89,6 +87,14 @@ def _parse_cover_file(text: str) -> List[List[int]]:
     if not cover:
         raise InputError("cover file lists no cliques")
     return cover
+
+
+def _read_covers(args: argparse.Namespace) -> List[Optional[List[List[int]]]]:
+    """The vertex and edge clique-cover files given on the command line."""
+    return [
+        _parse_cover_file(_read_text(path)) if path else None
+        for path in (args.vertex_clique_cover, args.edge_clique_cover)
+    ]
 
 
 def _run_algorithm(
@@ -126,7 +132,7 @@ def _auto_pick(
     """Choose the algorithm with the cheapest estimated parameter.
 
     Returns (algorithm, parameter name, parameter value).  Ties go to the
-    earlier entry.  The brute solver is never chosen above n = 25.
+    earlier entry.  The brute solver is never a candidate.
     """
     g = inst.graph
     big = g.n + 1  # sentinel for "probe limit exceeded"
@@ -152,25 +158,13 @@ def _auto_pick(
         candidates.append((len(vcc), "vcc", "vertex-clique-cover"))
     if ecc is not None:
         candidates.append((len(ecc), "ecc", "edge-clique-cover"))
-    best_value = min(v for v, _, _ in candidates)
-    for value, algo, param in candidates:
-        if value == best_value:
-            return algo, param, value
-    raise AssertionError("unreachable")
+    value, algo, param = min(candidates, key=lambda c: c[0])
+    return algo, param, value
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(_read_text(args.instance))
-    vcc = (
-        _parse_cover_file(_read_text(args.vertex_clique_cover))
-        if args.vertex_clique_cover
-        else None
-    )
-    ecc = (
-        _parse_cover_file(_read_text(args.edge_clique_cover))
-        if args.edge_clique_cover
-        else None
-    )
+    vcc, ecc = _read_covers(args)
     algo = args.algo
     if algo == "auto":
         algo, param, value = _auto_pick(inst, vcc, ecc)
@@ -372,16 +366,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_params(args: argparse.Namespace) -> int:
     inst = parse_instance(_read_text(args.instance))
-    vcc = (
-        _parse_cover_file(_read_text(args.vertex_clique_cover))
-        if args.vertex_clique_cover
-        else None
-    )
-    ecc = (
-        _parse_cover_file(_read_text(args.edge_clique_cover))
-        if args.edge_clique_cover
-        else None
-    )
+    vcc, ecc = _read_covers(args)
     report = param_report(inst.graph, vcc, ecc, limit=args.limit)
 
     def show(result) -> str:

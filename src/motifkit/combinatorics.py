@@ -149,19 +149,35 @@ def max_matching_with_cover(b: BipartiteGraph) -> MatchingResult:
     match_l: List[int | None] = [None] * b.left
     match_r: List[int | None] = [None] * b.right
 
-    def augment(u: int, seen: List[bool]) -> bool:
-        for v in adj[u]:
-            if seen[v]:
-                continue
-            seen[v] = True
-            if match_r[v] is None or augment(match_r[v], seen):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        return False
+    def augment(root: int) -> None:
+        """Depth-first search for an augmenting path from root, flipped if found.
+
+        Iterative, so that long paths do not hit the recursion limit; the
+        search order is that of the plain recursive version.
+        """
+        seen = [False] * b.right
+        stack = [(root, iter(adj[root]))]
+        path: List[int] = []  # path[i]: the right vertex taken from stack[i]
+        while stack:
+            for v in stack[-1][1]:
+                if seen[v]:
+                    continue
+                seen[v] = True
+                path.append(v)
+                if match_r[v] is None:
+                    for (u, _), w in zip(stack, path):
+                        match_l[u] = w
+                        match_r[w] = u
+                    return
+                stack.append((match_r[v], iter(adj[match_r[v]])))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
 
     for u in range(b.left):
-        augment(u, [False] * b.right)
+        augment(u)
 
     # Alternating reachability from unmatched left vertices.
     reach_l = [match_l[u] is None for u in range(b.left)]

@@ -282,7 +282,8 @@ def parse_instance(text: str) -> Instance:
     if header is None:
         raise InputError("missing 'p gm' header")
     n, m = header
-    if sorted(colors) != list(range(n)):
+    # Count first: a huge n in the header must not allocate anything.
+    if len(colors) != n or any(not 0 <= v < n for v in colors):
         raise InputError("every vertex 0..n-1 needs exactly one 'c' line")
     if len(edges) != m:
         raise InputError(f"header promises {m} edges, found {len(edges)}")

@@ -5,9 +5,75 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import CapacityError, Graph, InputError, connected_components
+
+
+def _neighbour_masks(g: Graph) -> List[int]:
+    """Bitmask of each vertex's neighbours."""
+    bits = [1 << w for w in range(g.n)]
+    return [sum(map(bits.__getitem__, adj)) for adj in g.adjacency]
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _deepen(
+    n: int, limit: Optional[int], attempt: Callable[[int], Optional[int]], lower: int
+) -> Optional[Set[int]]:
+    """Members of the mask `attempt(k)` finds for the least k that has one.
+
+    Tries k = lower, lower + 1, ... up to n or the limit, where `lower` is a
+    lower bound on the minimum, so smaller k would fail anyway.  With a
+    limit, returns None once the minimum provably exceeds it.
+    """
+    cap = n if limit is None else min(limit, n)
+    for k in range(lower, cap + 1):
+        found = attempt(k)
+        if found is not None:
+            return {v for v in range(n) if found >> v & 1}
+    if limit is not None:
+        return None
+    raise AssertionError("unreachable")
+
+
+def _min_cover(nbr: List[int], limit: Optional[int]) -> Optional[Set[int]]:
+    """Minimum vertex cover of the graph with neighbour masks `nbr`.
+
+    Bits of nbr[u] at or below u are ignored.  Each branch node covers, in
+    turn, u and v of the first uncovered edge (u, v), u < v, taken u
+    ascending then v ascending.  Covered vertices only accumulate down a
+    branch, so a child resumes the scan at its parent's u.
+    """
+    up = [(u, mask >> (u + 1) << (u + 1)) for u, mask in enumerate(nbr)]
+    up = [pair for pair in up if pair[1]]
+    if not up:
+        return set()
+    # Disjoint edges need a cover vertex each: a greedy matching is a bound.
+    matched = lower = 0
+    for u, mask in up:
+        rest = mask & ~matched
+        if rest and not matched >> u & 1:
+            matched |= 1 << u | rest & -rest
+            lower += 1
+
+    def branch(covered: int, start: int, budget: int) -> Optional[int]:
+        for i in range(start, len(up)):
+            u, mask = up[i]
+            rest = mask & ~covered
+            if rest and not covered >> u & 1:
+                if budget == 0:
+                    return None
+                for w in (u, _lowest(rest)):
+                    found = branch(covered | 1 << w, i, budget - 1)
+                    if found is not None:
+                        return found
+                return None
+        return covered
+
+    return _deepen(len(nbr), limit, lambda k: branch(0, 0, k), lower)
 
 
 def min_vertex_cover(g: Graph, limit: Optional[int] = None) -> Optional[Set[int]]:
@@ -16,48 +82,40 @@ def min_vertex_cover(g: Graph, limit: Optional[int] = None) -> Optional[Set[int]
     With a limit, gives up and returns None once the minimum provably
     exceeds it (used for cheap parameter probing).
     """
-    edges = g.edges()
-    if not edges:
-        return set()
-
-    def branch(covered: Set[int], budget: int) -> Optional[Set[int]]:
-        for u, v in edges:
-            if u not in covered and v not in covered:
-                if budget == 0:
-                    return None
-                for w in (u, v):
-                    covered.add(w)
-                    res = branch(covered, budget - 1)
-                    if res is not None:
-                        return res
-                    covered.remove(w)
-                return None
-        return set(covered)
-
-    cap = g.n if limit is None else min(limit, g.n)
-    for k in range(cap + 1):
-        res = branch(set(), k)
-        if res is not None:
-            return res
-    if limit is not None:
-        return None
-    raise AssertionError("unreachable")
+    return _min_cover(_neighbour_masks(g), limit)
 
 
 def dist_to_clique_set(g: Graph, limit: Optional[int] = None) -> Optional[Set[int]]:
     """Minimum set whose removal leaves a clique: vertex cover of the complement."""
-    return min_vertex_cover(g.complement(), limit)
+    full = (1 << g.n) - 1
+    return _min_cover([full ^ mask for mask in _neighbour_masks(g)], limit)
+
+
+def _next_co_p3(
+    nbr: List[int], alive: int, start: int = 0
+) -> Optional[Tuple[int, int, int]]:
+    """The first co-P3 (u, v, w) inside the vertex set `alive`.
+
+    Edges (u, v), u < v, are taken u ascending then v ascending, from
+    u = start on; w is the lowest vertex adjacent to neither end.
+    """
+    for u in range(start, len(nbr)):
+        lonely = alive & ~nbr[u] & ~(1 << u)
+        if not (lonely and alive >> u & 1):
+            continue
+        vs = nbr[u] & alive >> (u + 1) << (u + 1)
+        while vs:
+            v = _lowest(vs)
+            ws = lonely & ~nbr[v]
+            if ws:
+                return u, v, _lowest(ws)
+            vs ^= 1 << v
+    return None
 
 
 def _find_co_p3(g: Graph) -> Optional[Tuple[int, int, int]]:
     """An induced edge-plus-isolated-vertex triple, if one exists."""
-    for u, v in g.edges():
-        nu = set(g.adjacency[u])
-        nv = set(g.adjacency[v])
-        for w in range(g.n):
-            if w != u and w != v and w not in nu and w not in nv:
-                return (u, v, w)
-    return None
+    return _next_co_p3(_neighbour_masks(g), (1 << g.n) - 1)
 
 
 def dist_to_co_cluster_set(
@@ -65,34 +123,33 @@ def dist_to_co_cluster_set(
 ) -> Optional[Set[int]]:
     """Minimum deletion set leaving a co-cluster, by 3-way branching.
 
-    With a limit, returns None once the minimum provably exceeds it.
+    Each branch node removes, in turn, u, v and w of the first co-P3 left.
+    Removing vertices creates no co-P3, so a child resumes the scan at its
+    parent's u.  With a limit, returns None once the minimum provably
+    exceeds it.
     """
+    nbr = _neighbour_masks(g)
+    full = (1 << g.n) - 1
+    # Disjoint co-P3s need a deleted vertex each: a greedy packing is a bound.
+    alive, lower, bad = full, 0, _next_co_p3(nbr, full)
+    while bad is not None:
+        alive &= ~(1 << bad[0] | 1 << bad[1] | 1 << bad[2])
+        lower += 1
+        bad = _next_co_p3(nbr, alive, bad[0])
 
-    def branch(removed: Set[int], budget: int) -> Optional[Set[int]]:
-        sub, remap = g.induced([v for v in range(g.n) if v not in removed])
-        back = {i: v for v, i in remap.items()}
-        bad = _find_co_p3(sub)
+    def branch(alive: int, start: int, budget: int) -> Optional[int]:
+        bad = _next_co_p3(nbr, alive, start)
         if bad is None:
-            return set(removed)
+            return full ^ alive
         if budget == 0:
             return None
         for x in bad:
-            v = back[x]
-            removed.add(v)
-            res = branch(removed, budget - 1)
-            if res is not None:
-                return res
-            removed.remove(v)
+            found = branch(alive & ~(1 << x), bad[0], budget - 1)
+            if found is not None:
+                return found
         return None
 
-    cap = g.n if limit is None else min(limit, g.n)
-    for k in range(cap + 1):
-        res = branch(set(), k)
-        if res is not None:
-            return res
-    if limit is not None:
-        return None
-    raise AssertionError("unreachable")
+    return _deepen(g.n, limit, lambda k: branch(full, 0, k), lower)
 
 
 def is_co_cluster(g: Graph) -> bool:

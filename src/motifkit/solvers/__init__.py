@@ -1,6 +1,5 @@
 """Decision/witness algorithms: brute-force oracle and parameterized solvers."""
 
-from .common import SolverConfig
 from .brute import solve_brute
 from .paths import solve_on_path
 from .dist_clique import solve_dist_clique
@@ -11,7 +10,6 @@ from .co_cluster import solve_co_cluster
 from .max_leaf import StarWordProblem, solve_max_leaf_xp, solve_star_words
 
 __all__ = [
-    "SolverConfig",
     "solve_brute",
     "solve_on_path",
     "solve_dist_clique",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core import (
@@ -15,41 +14,12 @@ from ..core import (
 )
 
 
-@dataclass
-class SolverConfig:
-    """Algorithm selection plus optional clique covers and size caps."""
-
-    algorithm: str = "auto"
-    vertex_clique_cover: Optional[List[List[int]]] = None
-    edge_clique_cover: Optional[List[List[int]]] = None
-    brute_cap: int = 25
-
-
 def dispatch_components(
     inst: Instance,
     solve_connected: Callable[[Instance], SolveOutcome],
 ) -> SolveOutcome:
-    """Prune off-color vertices, then try each connected component.
-
-    A solution is connected, so it lives inside a single component; the motif
-    is passed through unchanged.  Witnesses are mapped back to original ids.
-    """
-    pruned, remap = prune_wrong_colors(inst)
-    back = {i: v for v, i in remap.items()}
-    if pruned.graph.n == 0:
-        return SolveOutcome.no()
-    for comp in connected_components(pruned.graph, range(pruned.graph.n)):
-        if len(comp) < inst.motif.total:
-            continue
-        sub, sub_remap = pruned.graph.induced(comp)
-        sub_back = {i: v for v, i in sub_remap.items()}
-        coloring = tuple(pruned.coloring[v] for v in sorted(sub_remap))
-        outcome = solve_connected(Instance(sub, coloring, inst.motif))
-        if outcome.is_yes:
-            witness = [back[sub_back[v]] for v in outcome.witness]
-            assert verify_solution(inst, witness)
-            return SolveOutcome.yes(witness)
-    return SolveOutcome.no()
+    """dispatch_components_with_cover without a cover."""
+    return dispatch_components_with_cover(inst, [], lambda sub, _: solve_connected(sub))
 
 
 def dispatch_components_with_cover(
@@ -57,7 +27,12 @@ def dispatch_components_with_cover(
     cover: Sequence[Sequence[int]],
     solve_connected: Callable[[Instance, List[List[int]]], SolveOutcome],
 ) -> SolveOutcome:
-    """Like dispatch_components, restricting the clique cover per component."""
+    """Prune off-color vertices, then try each connected component.
+
+    A solution is connected, so it lives inside a single component; the motif
+    is passed through unchanged and the clique cover is restricted to the
+    component.  Witnesses are mapped back to original ids and verified.
+    """
     pruned, remap = prune_wrong_colors(inst)
     back = {i: v for v, i in remap.items()}
     if pruned.graph.n == 0:
@@ -79,7 +54,9 @@ def dispatch_components_with_cover(
         outcome = solve_connected(Instance(sub, coloring, inst.motif), sub_cover)
         if outcome.is_yes:
             witness = [back[sub_back[v]] for v in outcome.witness]
-            assert verify_solution(inst, witness)
+            # An explicit check, not an assert, so it also runs under -O.
+            if not verify_solution(inst, witness):
+                raise AssertionError(f"solver returned an invalid witness {witness}")
             return SolveOutcome.yes(witness)
     return SolveOutcome.no()
 

@@ -14,54 +14,27 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..core import Instance, SolveOutcome, connected_components
 from ..csct import CsctInstance, solve_csct
 from ..estimators import dist_to_clique_set
-from .common import dispatch_components, pick_by_colors, try_witness
+from .common import (
+    dispatch_components,
+    dispatch_components_with_cover,
+    pick_by_colors,
+    try_witness,
+)
 
 
 def solve_dist_clique(
     inst: Instance, deletion_set: Optional[Set[int]] = None
 ) -> SolveOutcome:
     """Exact answer; deletion_set (V minus a clique) is computed if absent."""
-    original = deletion_set
-
-    def run(sub: Instance) -> SolveOutcome:
-        if original is None:
-            s = dist_to_clique_set(sub.graph)
-        else:
-            # The caller's set is for the original graph; restricting it to a
-            # pruned component keeps "remove S, a clique remains" valid.
-            s = _restrict_deletion_set(sub, original)
-        return _solve_connected(sub, s)
-
-    if original is None:
-        return dispatch_components(inst, run)
-    return _dispatch_with_set(inst, original)
-
-
-def _dispatch_with_set(inst: Instance, deletion_set: Set[int]) -> SolveOutcome:
-    from ..core import prune_wrong_colors, verify_solution
-
-    pruned, remap = prune_wrong_colors(inst)
-    back = {i: v for v, i in remap.items()}
-    if pruned.graph.n == 0:
-        return SolveOutcome.no()
-    pruned_set = {remap[v] for v in deletion_set if v in remap}
-    for comp in connected_components(pruned.graph, range(pruned.graph.n)):
-        if len(comp) < inst.motif.total:
-            continue
-        sub, sub_remap = pruned.graph.induced(comp)
-        sub_back = {i: v for v, i in sub_remap.items()}
-        coloring = tuple(pruned.coloring[v] for v in sorted(sub_remap))
-        sub_set = {sub_remap[v] for v in pruned_set if v in sub_remap}
-        outcome = _solve_connected(Instance(sub, coloring, inst.motif), sub_set)
-        if outcome.is_yes:
-            witness = [back[sub_back[v]] for v in outcome.witness]
-            assert verify_solution(inst, witness)
-            return SolveOutcome.yes(witness)
-    return SolveOutcome.no()
-
-
-def _restrict_deletion_set(inst: Instance, deletion_set: Set[int]) -> Set[int]:
-    return {v for v in deletion_set if 0 <= v < inst.graph.n}
+    if deletion_set is None:
+        return dispatch_components(
+            inst, lambda sub: _solve_connected(sub, dist_to_clique_set(sub.graph))
+        )
+    return dispatch_components_with_cover(
+        inst,
+        [[v] for v in sorted(deletion_set)],
+        lambda sub, c: _solve_connected(sub, {v for part in c for v in part}),
+    )
 
 
 def _solve_connected(inst: Instance, s: Set[int]) -> SolveOutcome:

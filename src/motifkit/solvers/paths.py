@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..core import Motif
 
@@ -30,14 +30,3 @@ def solve_on_path(word: Sequence[int], motif: Motif) -> Optional[Tuple[int, int]
         if mismatches == 0:
             return (i, i + k - 1)
     return None
-
-
-def all_windows(word: Sequence[int], motif: Motif) -> List[Tuple[int, int]]:
-    """Every matching window, in left-to-right order."""
-    k = motif.total
-    target = motif.as_counter()
-    return [
-        (i, i + k - 1)
-        for i in range(len(word) - k + 1)
-        if Counter(word[i : i + k]) == target
-    ]

@@ -11,7 +11,8 @@ from motifkit.cli import (
     parse_set_system,
     parse_x3c_sources,
 )
-from motifkit.core import InputError
+from motifkit.core import InputError, format_instance, verify_solution
+from motifkit.generators import SetSystem, gen_hitting_set_split
 
 YES_TEXT = "p gm 3 2\ne 0 1\ne 1 2\nc 0 0\nc 1 1\nc 2 0\nm 0 1\nm 1 1\n"
 NO_TEXT = "p gm 2 0\nc 0 0\nc 1 1\nm 0 1\nm 1 1\n"
@@ -48,6 +49,21 @@ class TestSolve:
     def test_auto_reports_choice(self, yes_file, capsys):
         main(["solve", yes_file])
         assert "auto:" in capsys.readouterr().err
+
+    def test_auto_picks_dist_clique_on_clique_plus_sets(self, tmp_path, capsys):
+        # Hitting-set split graph: a clique of 24 elements plus 8 independent
+        # set vertices, each on 3 of the first 12 elements.  Distance to
+        # clique is 8; the other probes exceed their caps.
+        sets = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11),
+                (0, 3, 6), (1, 4, 9), (2, 7, 10), (5, 8, 11)]
+        inst = gen_hitting_set_split(SetSystem(24, tuple(sets), 4)).instance
+        p = tmp_path / "clique-hs.gm"
+        p.write_text(format_instance(inst))
+        assert main(["solve", str(p)]) == EXIT_YES
+        captured = capsys.readouterr()
+        assert captured.err == "auto: dist-clique (distance-to-clique = 8)\n"
+        witness = [int(v) for v in captured.out.splitlines()[1].split()]
+        assert verify_solution(inst, witness)
 
     def test_ecc_requires_cover_file(self, yes_file):
         assert main(["solve", yes_file, "--algo", "ecc"]) == EXIT_PARSE

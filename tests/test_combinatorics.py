@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import permutations
 
 import pytest
@@ -138,3 +139,12 @@ class TestMatching:
         for u, v in b.edges:
             assert u in result.cover_left or v in result.cover_right
         assert len(result.cover_left) + len(result.cover_right) == result.size
+
+    def test_augmenting_path_longer_than_recursion_limit(self):
+        # Left i < k takes right i; left k only sees right 0, so its
+        # augmenting path shifts every earlier left vertex one step right.
+        k = sys.getrecursionlimit() + 100
+        edges = [(i, i) for i in range(k)] + [(i, i + 1) for i in range(k)]
+        result = max_matching_with_cover(BipartiteGraph(k + 1, k + 1, edges + [(k, 0)]))
+        assert result.size == k + 1
+        assert set(result.matching) == {(i, i + 1) for i in range(k)} | {(k, 0)}

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,6 +180,12 @@ class TestFileFormat:
     def test_rejects_malformed(self, text):
         with pytest.raises(InputError):
             parse_instance(text)
+
+    def test_huge_header_rejected_without_allocating(self):
+        start = time.perf_counter()
+        with pytest.raises(InputError):
+            parse_instance("p gm 1000000000 0\n")
+        assert time.perf_counter() - start < 0.5
 
     def test_witness_round_trip(self):
         assert parse_witness(format_witness([3, 1, 2])) == [1, 2, 3]

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from motifkit.core import CapacityError, Graph, InputError, connected_components
 from motifkit.estimators import (
+    _find_co_p3,
     co_cluster_classes,
     degree3_decomposition,
     dist_to_clique_set,
@@ -271,3 +273,106 @@ class TestParamReport:
         g = Graph(6, [(0, 1), (2, 3), (4, 5)])
         report = param_report(g, limit=1)
         assert report.vertex_cover is None
+
+
+# Reference probes: the straightforward versions that re-induce the graph at
+# every branch node.  The bitset probes must branch in the same order and so
+# return the identical set, not just one of the same size.
+
+
+def _ref_deepen(n, limit, attempt):
+    for k in range((n if limit is None else min(limit, n)) + 1):
+        res = attempt(k)
+        if res is not None:
+            return res
+    return None
+
+
+def ref_min_vertex_cover(g, limit=None):
+    edges = g.edges()
+    if not edges:
+        return set()
+
+    def branch(covered, budget):
+        for u, v in edges:
+            if u not in covered and v not in covered:
+                if budget == 0:
+                    return None
+                for w in (u, v):
+                    res = branch(covered | {w}, budget - 1)
+                    if res is not None:
+                        return res
+                return None
+        return covered
+
+    return _ref_deepen(g.n, limit, lambda k: branch(set(), k))
+
+
+def ref_find_co_p3(g):
+    for u, v in g.edges():
+        for w in range(g.n):
+            if w not in (u, v) and not g.has_edge(u, w) and not g.has_edge(v, w):
+                return (u, v, w)
+    return None
+
+
+def ref_dist_to_co_cluster_set(g, limit=None):
+    def branch(removed, budget):
+        sub, remap = g.induced([v for v in range(g.n) if v not in removed])
+        back = {i: v for v, i in remap.items()}
+        bad = ref_find_co_p3(sub)
+        if bad is None:
+            return removed
+        if budget == 0:
+            return None
+        for x in bad:
+            res = branch(removed | {back[x]}, budget - 1)
+            if res is not None:
+                return res
+        return None
+
+    return _ref_deepen(g.n, limit, lambda k: branch(set(), k))
+
+
+@st.composite
+def graphs_of_any_density(draw, max_n=11):
+    n = draw(st.integers(0, max_n))
+    p = draw(st.floats(0.0, 1.0))
+    rnd = draw(st.randoms(use_true_random=False))
+    return Graph(n, [pair for pair in combinations(range(n), 2) if rnd.random() < p])
+
+
+class TestProbesMatchReference:
+    @given(graphs_of_any_density(), st.sampled_from([None, 0, 1, 2, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_identical_sets(self, g, limit):
+        assert min_vertex_cover(g, limit) == ref_min_vertex_cover(g, limit)
+        assert dist_to_clique_set(g, limit) == ref_min_vertex_cover(
+            g.complement(), limit
+        )
+        assert dist_to_co_cluster_set(g, limit) == ref_dist_to_co_cluster_set(
+            g, limit
+        )
+
+    @given(graphs_of_any_density())
+    @settings(max_examples=100, deadline=None)
+    def test_same_first_co_p3(self, g):
+        assert _find_co_p3(g) == ref_find_co_p3(g)
+
+    def test_probes_build_no_graphs(self, monkeypatch):
+        calls = Counter()
+        for name in ("induced", "complement"):
+
+            def counted(self, *args, _name=name, _original=getattr(Graph, name)):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(Graph, name, counted)
+        # Eight disjoint edges: the nearest co-cluster is an independent set
+        # of eight, so the capped probe explores its whole tree and gives up.
+        g = Graph(16, [(2 * i, 2 * i + 1) for i in range(8)])
+        assert dist_to_co_cluster_set(g, limit=7) is None
+        assert dist_to_co_cluster_set(g) == set(range(0, 16, 2))
+        assert dist_to_clique_set(g, limit=10) is None
+        assert len(dist_to_clique_set(g)) == 14
+        assert calls == Counter()

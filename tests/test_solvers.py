@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import motifkit
 from motifkit.core import (
     CapacityError,
     Graph,
@@ -239,3 +244,38 @@ class TestSuppliedStructures:
         inst = Instance(g, (0, 0, 0), Motif({0: 2}))
         with pytest.raises(InputError):
             solve_vertex_clique_cover(inst, [[0, 1], [1, 2]])
+
+
+BAD_WITNESS_SCRIPT = """
+import sys
+from motifkit.core import Graph, Instance, Motif, SolveOutcome
+from motifkit.solvers.common import dispatch_components, dispatch_components_with_cover
+
+# Colours fit the motif, but 0 and 2 are not adjacent.
+inst = Instance(Graph(3, [(0, 1), (1, 2)]), (0, 0, 1), Motif({0: 1, 1: 1}))
+stub = lambda sub, *cover: SolveOutcome.yes([0, 2])
+for run in (
+    lambda: dispatch_components(inst, stub),
+    lambda: dispatch_components_with_cover(inst, [[1]], stub),
+):
+    try:
+        run()
+    except AssertionError:
+        print("rejected", sys.flags.optimize)
+    else:
+        print("accepted", sys.flags.optimize)
+"""
+
+
+def test_dispatch_rejects_bad_witness_under_optimize():
+    src = str(Path(motifkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BAD_WITNESS_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["rejected 1", "rejected 1", ""]
