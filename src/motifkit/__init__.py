@@ -13,6 +13,7 @@ from .core import (
     parse_instance,
     parse_witness,
     prune_wrong_colors,
+    restrict,
     verify_solution,
 )
 
@@ -29,6 +30,7 @@ __all__ = [
     "parse_instance",
     "parse_witness",
     "prune_wrong_colors",
+    "restrict",
     "verify_solution",
 ]
 

@@ -13,7 +13,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     CapacityError,
@@ -23,12 +23,10 @@ from .core import (
     SolveOutcome,
     connected_components,
     format_instance,
-    format_witness,
     parse_instance,
     parse_witness,
 )
 from .estimators import (
-    degree3_decomposition,
     dist_to_clique_set,
     dist_to_co_cluster_set,
     min_vertex_cover,
@@ -89,7 +87,10 @@ def _parse_cover_file(text: str) -> List[List[int]]:
     return cover
 
 
-def _read_covers(args: argparse.Namespace) -> List[Optional[List[List[int]]]]:
+Covers = Optional[List[List[int]]]
+
+
+def _read_covers(args: argparse.Namespace) -> List[Covers]:
     """The vertex and edge clique-cover files given on the command line."""
     return [
         _parse_cover_file(_read_text(path)) if path else None
@@ -97,38 +98,29 @@ def _read_covers(args: argparse.Namespace) -> List[Optional[List[List[int]]]]:
     ]
 
 
-def _run_algorithm(
-    name: str,
-    inst: Instance,
-    vcc: Optional[List[List[int]]],
-    ecc: Optional[List[List[int]]],
-) -> SolveOutcome:
-    if name == "brute":
-        return solve_brute(inst)
-    if name == "dist-clique":
-        return solve_dist_clique(inst)
-    if name == "vc":
-        return solve_vertex_cover(inst)
-    if name == "cocluster":
-        return solve_co_cluster(inst)
-    if name == "maxleaf":
-        return solve_max_leaf_xp(inst)
-    if name == "ecc":
-        if ecc is None:
-            raise InputError("--algo ecc needs --edge-clique-cover")
-        return solve_edge_clique_cover(inst, ecc)
-    if name == "vcc":
-        if vcc is None:
-            raise InputError("--algo vcc needs --vertex-clique-cover")
-        return solve_vertex_clique_cover(inst, vcc)
-    raise InputError(f"unknown algorithm {name!r}")
+def _supplied(cover: Covers, algo: str, flag: str) -> List[List[int]]:
+    if cover is None:
+        raise InputError(f"--algo {algo} needs {flag}")
+    return cover
 
 
-def _auto_pick(
-    inst: Instance,
-    vcc: Optional[List[List[int]]],
-    ecc: Optional[List[List[int]]],
-) -> Tuple[str, str, int]:
+# Every solver, called as solver(inst, vertex clique cover, edge clique cover).
+SOLVERS: Dict[str, Callable[[Instance, Covers, Covers], SolveOutcome]] = {
+    "brute": lambda inst, vcc, ecc: solve_brute(inst),
+    "dist-clique": lambda inst, vcc, ecc: solve_dist_clique(inst),
+    "vc": lambda inst, vcc, ecc: solve_vertex_cover(inst),
+    "ecc": lambda inst, vcc, ecc: solve_edge_clique_cover(
+        inst, _supplied(ecc, "ecc", "--edge-clique-cover")
+    ),
+    "vcc": lambda inst, vcc, ecc: solve_vertex_clique_cover(
+        inst, _supplied(vcc, "vcc", "--vertex-clique-cover")
+    ),
+    "cocluster": lambda inst, vcc, ecc: solve_co_cluster(inst),
+    "maxleaf": lambda inst, vcc, ecc: solve_max_leaf_xp(inst),
+}
+
+
+def _auto_pick(inst: Instance, vcc: Covers, ecc: Covers) -> Tuple[str, str, int]:
     """Choose the algorithm with the cheapest estimated parameter.
 
     Returns (algorithm, parameter name, parameter value).  Ties go to the
@@ -169,7 +161,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if algo == "auto":
         algo, param, value = _auto_pick(inst, vcc, ecc)
         print(f"auto: {algo} ({param} = {value})", file=sys.stderr)
-    outcome = _run_algorithm(algo, inst, vcc, ecc)
+    outcome = SOLVERS[algo](inst, vcc, ecc)
     if outcome.is_yes:
         print("YES")
         print(" ".join(str(v) for v in outcome.witness))
@@ -406,7 +398,7 @@ def _bench_cell(job: Tuple[str, str, float]) -> Tuple[str, str, str, float]:
     signal.setitimer(signal.ITIMER_REAL, timeout)
     start = time.perf_counter()
     try:
-        outcome = _run_algorithm(algo, inst, vcc, ecc)
+        outcome = SOLVERS[algo](inst, vcc, ecc)
         answer = "YES" if outcome.is_yes else "NO"
     except TimeoutError:
         answer = "TO"
@@ -468,20 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="decide an instance file")
     p_solve.add_argument("instance")
-    p_solve.add_argument(
-        "--algo",
-        default="auto",
-        choices=(
-            "auto",
-            "brute",
-            "dist-clique",
-            "vc",
-            "ecc",
-            "vcc",
-            "cocluster",
-            "maxleaf",
-        ),
-    )
+    p_solve.add_argument("--algo", default="auto", choices=("auto", *SOLVERS))
     p_solve.add_argument("--vertex-clique-cover")
     p_solve.add_argument("--edge-clique-cover")
     p_solve.set_defaults(func=cmd_solve)
@@ -514,7 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run algorithms over a directory")
     p_bench.add_argument("directory")
-    p_bench.add_argument("--algo", nargs="+", default=["brute", "vc"])
+    p_bench.add_argument(
+        "--algo", nargs="+", default=["brute", "vc"], choices=SOLVERS
+    )
     p_bench.add_argument("--timeout", type=float, default=60.0)
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Iterator, List, Sequence, Set, Tuple
 
 from .core import InputError
 

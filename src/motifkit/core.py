@@ -41,9 +41,6 @@ class Graph:
             tuple(sorted(s)) for s in adj
         )
 
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return self.adjacency[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj_sets[u]
 
@@ -158,9 +155,6 @@ class Instance:
                 f"coloring has {len(self.coloring)} entries for {self.graph.n} vertices"
             )
         object.__setattr__(self, "coloring", tuple(self.coloring))
-
-    def color(self, v: int) -> int:
-        return self.coloring[v]
 
 
 @dataclass(frozen=True)
@@ -325,14 +319,25 @@ def format_witness(vertices: Iterable[int]) -> str:
     return " ".join(str(v) for v in sorted(vertices)) + "\n"
 
 
-def prune_wrong_colors(inst: Instance) -> Tuple[Instance, Dict[int, int]]:
+def restrict(inst: Instance, vertices: Sequence[int]) -> Tuple[Instance, List[int]]:
+    """The sub-instance induced by `vertices`, with the same motif.
+
+    Also returns `ids`, where `ids[i]` is the original id of new vertex `i`
+    (ids ascend), so a witness `w` of the sub-instance lifts back to
+    `[ids[v] for v in w]`.
+    """
+    sub, remap = inst.graph.induced(vertices)
+    ids = sorted(remap)
+    return Instance(sub, tuple(inst.coloring[v] for v in ids), inst.motif), ids
+
+
+def prune_wrong_colors(inst: Instance) -> Tuple[Instance, List[int]]:
     """Drop vertices whose color has zero multiplicity in the motif.
 
-    Returns the restricted instance and the old-id -> new-id map.  The motif
-    is unchanged; the answer never changes either, since off-color vertices
-    cannot be part of any solution.
+    Returns `restrict` on the remaining vertices.  The answer never changes,
+    since off-color vertices cannot be part of any solution.
     """
-    keep = [v for v in range(inst.graph.n) if inst.motif.count(inst.coloring[v]) > 0]
-    sub, remap = inst.graph.induced(keep)
-    coloring = tuple(inst.coloring[v] for v in keep)
-    return Instance(sub, coloring, inst.motif), remap
+    return restrict(
+        inst,
+        [v for v in range(inst.graph.n) if inst.motif.count(inst.coloring[v]) > 0],
+    )

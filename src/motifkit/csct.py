@@ -15,7 +15,11 @@ import numpy as np
 
 from .core import CapacityError, InputError
 
-MAX_UNIVERSE = 32
+# Cap on the DP's memory.  Per subset of the universe it holds one `take`
+# flag for each set, the int64 subset id and the int32/bool working arrays
+# of one step (measured peak: m + 44 bytes).
+MAX_TABLE_BYTES = 1 << 30
+_BYTES_PER_SUBSET = 48
 _INF = np.iinfo(np.int32).max // 2
 
 
@@ -46,11 +50,15 @@ class CsctSolution:
 
 def solve_csct(inst: CsctInstance) -> Optional[CsctSolution]:
     """Feasible threshold-respecting cover of the full ground set, or None."""
-    if inst.n > MAX_UNIVERSE:
-        raise CapacityError(f"universe of {inst.n} elements exceeds {MAX_UNIVERSE}")
+    m = len(inst.sets)
+    table_bytes = (m + _BYTES_PER_SUBSET) << inst.n
+    if table_bytes > MAX_TABLE_BYTES:
+        raise CapacityError(
+            f"universe of {inst.n} elements with {m} sets needs about "
+            f"{table_bytes >> 20} MiB of tables, over {MAX_TABLE_BYTES >> 20} MiB"
+        )
     if inst.n == 0:
         return CsctSolution(())
-    m = len(inst.sets)
     if m == 0:
         return None
 

@@ -9,8 +9,7 @@ structural parameters that are re-checked at generation time.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 

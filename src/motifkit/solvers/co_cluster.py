@@ -9,16 +9,16 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
-from ..core import Graph, Instance, Motif, SolveOutcome, connected_components
+from ..core import Graph, Instance, Motif, SolveOutcome, connected_components, restrict
 from ..estimators import dist_to_co_cluster_set
 from .common import dispatch_components, try_witness
 from .dist_clique import _solve_connected as _solve_dc_connected
-from .vertex_cover import _solve_connected as _solve_vc_connected
+from .vertex_cover import solve_vertex_cover
 
 
 def solve_co_cluster(inst: Instance) -> SolveOutcome:
     """Exact answer via a computed distance-to-co-cluster deletion set."""
-    return dispatch_components(inst, _solve_connected)
+    return dispatch_components(inst, lambda sub, _: _solve_connected(sub))
 
 
 def _solve_connected(inst: Instance) -> SolveOutcome:
@@ -43,7 +43,6 @@ def _solve_connected(inst: Instance) -> SolveOutcome:
     # Case B: two vertices s, t from distinct classes are in the solution.
     # Intra-class edges are added (they cannot hurt: s and t glue the
     # classes together), making V minus X a clique.
-    motif = inst.motif
     extra = [
         (u, v)
         for cls in classes
@@ -65,27 +64,11 @@ def _solve_connected(inst: Instance) -> SolveOutcome:
 def _solve_on_subset(
     inst: Instance, vertices: List[int], cover: Set[int]
 ) -> SolveOutcome:
-    if len(vertices) < inst.motif.total:
-        return SolveOutcome.no()
-    sub, remap = inst.graph.induced(vertices)
-    back = {i: v for v, i in remap.items()}
-    coloring = tuple(inst.coloring[v] for v in sorted(remap))
-    sub_cover = {remap[v] for v in cover if v in remap}
-    # The subgraph may be disconnected; try each component.
-    for comp in connected_components(sub, range(sub.n)):
-        comp_sub, comp_remap = sub.induced(comp)
-        comp_back = {i: v for v, i in comp_remap.items()}
-        comp_coloring = tuple(coloring[v] for v in sorted(comp_remap))
-        comp_cover = {comp_remap[v] for v in sub_cover if v in comp_remap}
-        outcome = _solve_vc_connected(
-            Instance(comp_sub, comp_coloring, inst.motif), comp_cover
-        )
-        if outcome.is_yes:
-            witness = [back[comp_back[v]] for v in outcome.witness]
-            result = try_witness(inst, witness)
-            if result is not None:
-                return result
-    return SolveOutcome.no()
+    sub, ids = restrict(inst, vertices)
+    outcome = solve_vertex_cover(sub, {i for i, v in enumerate(ids) if v in cover})
+    if outcome.is_yes:
+        return SolveOutcome.yes(ids[v] for v in outcome.witness)
+    return outcome
 
 
 def _try_pair(
@@ -128,15 +111,11 @@ def _try_pair(
     comp = next(
         c for c in connected_components(sub, range(sub.n)) if w in c
     )
-    comp_sub, comp_remap = sub.induced(comp)
-    comp_back = {i: v for v, i in comp_remap.items()}
-    comp_coloring = tuple(coloring[v] for v in sorted(comp_remap))
-    comp_cover = {comp_remap[v] for v in sub_cover if v in comp_remap}
+    comp_inst, ids = restrict(Instance(sub, coloring, rest_motif), comp)
     outcome = _solve_dc_connected(
-        Instance(comp_sub, comp_coloring, rest_motif), comp_cover
+        comp_inst, {i for i, v in enumerate(ids) if v in sub_cover}
     )
     if outcome.is_yes:
-        chosen = {comp_back[v] for v in outcome.witness}
-        y = [keep[v] for v in chosen if v != w]
+        y = [keep[ids[v]] for v in outcome.witness if ids[v] != w]
         return try_witness(inst, y + [s, t])
     return None

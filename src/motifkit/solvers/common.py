@@ -1,64 +1,70 @@
-"""Shared plumbing: per-component dispatch and greedy completion helpers."""
+"""Shared plumbing: per-component dispatch, guess enumeration, greedy completion."""
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core import (
     Instance,
     SolveOutcome,
     connected_components,
     prune_wrong_colors,
+    restrict,
     verify_solution,
 )
 
 
 def dispatch_components(
     inst: Instance,
-    solve_connected: Callable[[Instance], SolveOutcome],
-) -> SolveOutcome:
-    """dispatch_components_with_cover without a cover."""
-    return dispatch_components_with_cover(inst, [], lambda sub, _: solve_connected(sub))
-
-
-def dispatch_components_with_cover(
-    inst: Instance,
-    cover: Sequence[Sequence[int]],
-    solve_connected: Callable[[Instance, List[List[int]]], SolveOutcome],
+    solve_connected: Callable[[Instance, List[int]], SolveOutcome],
 ) -> SolveOutcome:
     """Prune off-color vertices, then try each connected component.
 
-    A solution is connected, so it lives inside a single component; the motif
-    is passed through unchanged and the clique cover is restricted to the
-    component.  Witnesses are mapped back to original ids and verified.
+    A solution is connected, so it lives inside a single component.  Each
+    component is restricted to a sub-instance with the same motif and passed
+    to `solve_connected` together with its `ids` (original vertex ids), so
+    the solver can restrict any structure it was given.  Witnesses are lifted
+    back to original ids and verified.
     """
-    pruned, remap = prune_wrong_colors(inst)
-    back = {i: v for v, i in remap.items()}
-    if pruned.graph.n == 0:
-        return SolveOutcome.no()
-    pruned_cover = [
-        [remap[v] for v in clique if v in remap] for clique in cover
-    ]
+    pruned, pruned_ids = prune_wrong_colors(inst)
     for comp in connected_components(pruned.graph, range(pruned.graph.n)):
         if len(comp) < inst.motif.total:
             continue
-        sub, sub_remap = pruned.graph.induced(comp)
-        sub_back = {i: v for v, i in sub_remap.items()}
-        coloring = tuple(pruned.coloring[v] for v in sorted(sub_remap))
-        sub_cover = [
-            [sub_remap[v] for v in clique if v in sub_remap]
-            for clique in pruned_cover
-        ]
-        sub_cover = [c for c in sub_cover if c]
-        outcome = solve_connected(Instance(sub, coloring, inst.motif), sub_cover)
+        sub, ids = restrict(inst, [pruned_ids[v] for v in comp])
+        outcome = solve_connected(sub, ids)
         if outcome.is_yes:
-            witness = [back[sub_back[v]] for v in outcome.witness]
+            witness = [ids[v] for v in outcome.witness]
             # An explicit check, not an assert, so it also runs under -O.
             if not verify_solution(inst, witness):
                 raise AssertionError(f"solver returned an invalid witness {witness}")
             return SolveOutcome.yes(witness)
     return SolveOutcome.no()
+
+
+def restrict_family(
+    family: Sequence[Sequence[int]], ids: List[int]
+) -> List[List[int]]:
+    """Each member of `family` renumbered by `ids`, in order; empty traces dropped."""
+    index = {v: i for i, v in enumerate(ids)}
+    traces = ([index[v] for v in part if v in index] for part in family)
+    return [trace for trace in traces if trace]
+
+
+def iter_guesses(
+    inst: Instance, candidates: Sequence[int]
+) -> Iterator[Tuple[int, ...]]:
+    """Nonempty subsets of `candidates` whose colors fit in the motif.
+
+    Smallest first, each size in `combinations` order; subsets larger than
+    the motif are never generated.
+    """
+    motif = inst.motif
+    for size in range(1, min(len(candidates), motif.total) + 1):
+        for guess in combinations(candidates, size):
+            if motif.contains(inst.coloring[v] for v in guess):
+                yield guess
 
 
 def pick_by_colors(

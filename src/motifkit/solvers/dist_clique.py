@@ -8,33 +8,27 @@ and complete with leftover clique vertices of the right colors.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core import Instance, SolveOutcome, connected_components
 from ..csct import CsctInstance, solve_csct
 from ..estimators import dist_to_clique_set
-from .common import (
-    dispatch_components,
-    dispatch_components_with_cover,
-    pick_by_colors,
-    try_witness,
-)
+from .common import dispatch_components, iter_guesses, pick_by_colors, try_witness
 
 
 def solve_dist_clique(
     inst: Instance, deletion_set: Optional[Set[int]] = None
 ) -> SolveOutcome:
     """Exact answer; deletion_set (V minus a clique) is computed if absent."""
-    if deletion_set is None:
-        return dispatch_components(
-            inst, lambda sub: _solve_connected(sub, dist_to_clique_set(sub.graph))
+
+    def run(sub: Instance, ids: List[int]) -> SolveOutcome:
+        if deletion_set is None:
+            return _solve_connected(sub, dist_to_clique_set(sub.graph))
+        return _solve_connected(
+            sub, {i for i, v in enumerate(ids) if v in deletion_set}
         )
-    return dispatch_components_with_cover(
-        inst,
-        [[v] for v in sorted(deletion_set)],
-        lambda sub, c: _solve_connected(sub, {v for part in c for v in part}),
-    )
+
+    return dispatch_components(inst, run)
 
 
 def _solve_connected(inst: Instance, s: Set[int]) -> SolveOutcome:
@@ -58,15 +52,10 @@ def _solve_connected(inst: Instance, s: Set[int]) -> SolveOutcome:
             if u in s_index:
                 nbr_mask[v] |= 1 << s_index[u]
 
-    for size in range(1, len(s_list) + 1):
-        if size > motif.total:
-            break
-        for s_prime in combinations(s_list, size):
-            if not motif.contains(inst.coloring[v] for v in s_prime):
-                continue
-            outcome = _try_guess(inst, s_prime, clique, s_index, nbr_mask)
-            if outcome is not None:
-                return outcome
+    for s_prime in iter_guesses(inst, s_list):
+        outcome = _try_guess(inst, s_prime, clique, s_index, nbr_mask)
+        if outcome is not None:
+            return outcome
     return SolveOutcome.no()
 
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..core import Graph, InputError, Instance, Motif, SolveOutcome, connected_components
 from ..estimators import validate_clique_cover
-from .common import dispatch_components_with_cover, try_witness
+from .common import dispatch_components, restrict_family, try_witness
 from .vertex_cover import _solve_connected as _solve_vc_connected
 
 
@@ -23,7 +23,9 @@ def solve_edge_clique_cover(
     """Exact answer given a family of cliques containing every edge."""
     if not validate_clique_cover(inst.graph, cover, "edge-cover"):
         raise InputError("supplied family is not an edge clique cover")
-    return dispatch_components_with_cover(inst, cover, _solve_connected)
+    return dispatch_components(
+        inst, lambda sub, ids: _solve_connected(sub, restrict_family(cover, ids))
+    )
 
 
 def _solve_connected(inst: Instance, cover: List[List[int]]) -> SolveOutcome:

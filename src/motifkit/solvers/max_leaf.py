@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core import Instance, InputError, Motif, SolveOutcome, connected_components
 from ..estimators import PathComponent, degree3_decomposition
-from .common import dispatch_components, try_witness
+from .common import dispatch_components, iter_guesses, try_witness
 from .paths import solve_on_path
 
 
@@ -62,7 +61,7 @@ def solve_star_words(problem: StarWordProblem) -> Optional[List[int]]:
 
 def solve_max_leaf_xp(inst: Instance) -> SolveOutcome:
     """Exact answer; exponential only in the number of degree-3 vertices."""
-    return dispatch_components(inst, _solve_connected)
+    return dispatch_components(inst, lambda sub, _: _solve_connected(sub))
 
 
 def _solve_connected(inst: Instance) -> SolveOutcome:
@@ -76,7 +75,6 @@ def _solve_connected(inst: Instance) -> SolveOutcome:
     if g.n >= 3 and all(g.degree(v) == 2 for v in range(g.n)):
         return _solve_cycle(inst)
     s, paths = degree3_decomposition(g)
-    s_list = sorted(s)
 
     # T = solution's trace on S; T empty means the solution sits inside one
     # path, which is plain window matching.
@@ -87,15 +85,10 @@ def _solve_connected(inst: Instance) -> SolveOutcome:
             i, j = window
             return SolveOutcome.yes(path.vertices[i : j + 1])
 
-    for size in range(1, len(s_list) + 1):
-        if size > inst.motif.total:
-            break
-        for t in combinations(s_list, size):
-            if not inst.motif.contains(inst.coloring[v] for v in t):
-                continue
-            outcome = _try_trace(inst, set(t), paths)
-            if outcome is not None:
-                return outcome
+    for t in iter_guesses(inst, sorted(s)):
+        outcome = _try_trace(inst, set(t), paths)
+        if outcome is not None:
+            return outcome
     return SolveOutcome.no()
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, product
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core import (
     Graph,
@@ -28,7 +28,7 @@ from ..combinatorics import (
     max_matching_with_cover,
 )
 from ..estimators import validate_clique_cover
-from .common import dispatch_components_with_cover, pick_by_colors, try_witness
+from .common import dispatch_components, pick_by_colors, restrict_family, try_witness
 
 TreeEdge = Tuple[int, int]
 Group = int
@@ -40,7 +40,9 @@ def solve_vertex_clique_cover(
     """Exact answer given a partition of the vertices into cliques."""
     if not validate_clique_cover(inst.graph, partition, "vertex-partition"):
         raise InputError("supplied family is not a vertex clique partition")
-    return dispatch_components_with_cover(inst, partition, _solve_connected)
+    return dispatch_components(
+        inst, lambda sub, ids: _solve_connected(sub, restrict_family(partition, ids))
+    )
 
 
 def _solve_connected(inst: Instance, cliques: List[List[int]]) -> SolveOutcome:

@@ -9,8 +9,7 @@ color copies.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..core import Instance, SolveOutcome, connected_components
 from ..combinatorics import (
@@ -19,27 +18,20 @@ from ..combinatorics import (
     max_matching_with_cover,
 )
 from ..estimators import min_vertex_cover
-from .common import (
-    dispatch_components,
-    dispatch_components_with_cover,
-    pick_by_colors,
-    try_witness,
-)
+from .common import dispatch_components, iter_guesses, pick_by_colors, try_witness
 
 
 def solve_vertex_cover(
     inst: Instance, cover: Optional[Set[int]] = None
 ) -> SolveOutcome:
     """Exact answer; a vertex cover is computed when not supplied."""
-    if cover is None:
-        return dispatch_components(
-            inst, lambda sub: _solve_connected(sub, min_vertex_cover(sub.graph))
-        )
-    return dispatch_components_with_cover(
-        inst,
-        [[v] for v in sorted(cover)],
-        lambda sub, c: _solve_connected(sub, {v for part in c for v in part}),
-    )
+
+    def run(sub: Instance, ids: List[int]) -> SolveOutcome:
+        if cover is None:
+            return _solve_connected(sub, min_vertex_cover(sub.graph))
+        return _solve_connected(sub, {i for i, v in enumerate(ids) if v in cover})
+
+    return dispatch_components(inst, run)
 
 
 def _solve_connected(inst: Instance, cover: Set[int]) -> SolveOutcome:
@@ -57,15 +49,10 @@ def _solve_connected(inst: Instance, cover: Set[int]) -> SolveOutcome:
             if inst.coloring[v] == color:
                 return SolveOutcome.yes([v])
 
-    for size in range(1, len(s_list) + 1):
-        if size > motif.total:
-            break
-        for s_prime in combinations(s_list, size):
-            if not motif.contains(inst.coloring[v] for v in s_prime):
-                continue
-            outcome = _try_guess(inst, s_prime, independent)
-            if outcome is not None:
-                return outcome
+    for s_prime in iter_guesses(inst, s_list):
+        outcome = _try_guess(inst, s_prime, independent)
+        if outcome is not None:
+            return outcome
     return SolveOutcome.no()
 
 

@@ -65,8 +65,9 @@ class TestSolve:
         witness = [int(v) for v in captured.out.splitlines()[1].split()]
         assert verify_solution(inst, witness)
 
-    def test_ecc_requires_cover_file(self, yes_file):
-        assert main(["solve", yes_file, "--algo", "ecc"]) == EXIT_PARSE
+    @pytest.mark.parametrize("algo", ["ecc", "vcc"])
+    def test_cover_algo_requires_cover_file(self, yes_file, algo):
+        assert main(["solve", yes_file, "--algo", algo]) == EXIT_PARSE
 
     def test_supplied_covers(self, yes_file, tmp_path, capsys):
         vcc = tmp_path / "vcc.txt"
@@ -227,6 +228,12 @@ class TestBench:
 
     def test_not_a_directory(self, tmp_path):
         assert main(["bench", str(tmp_path / "nope")]) == EXIT_PARSE
+
+    def test_unknown_algo(self, tmp_path):
+        (tmp_path / "a.gm").write_text(YES_TEXT)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(tmp_path), "--algo", "nope", "--timeout", "0"])
+        assert exc.value.code == EXIT_PARSE
 
 
 class TestSourceGrammars:

@@ -15,6 +15,7 @@ from motifkit.core import (
     parse_instance,
     parse_witness,
     prune_wrong_colors,
+    restrict,
     verify_solution,
 )
 from motifkit.generators import X3cInstance, gen_x3c_paths
@@ -143,6 +144,24 @@ class TestPruneWrongColors:
         inst = Instance(Graph(2, [(0, 1)]), (5, 5), Motif({1: 1}))
         pruned, _ = prune_wrong_colors(inst)
         assert pruned.graph.n == 0
+
+
+class TestRestrict:
+    def test_ids_colors_and_edges(self):
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])
+        inst = Instance(g, (0, 1, 2, 0, 1), Motif({0: 1, 1: 1, 2: 1}))
+        sub, ids = restrict(inst, [4, 1, 2, 4])
+        assert ids == [1, 2, 4]
+        assert sub.coloring == (1, 2, 1)
+        assert sub.motif == inst.motif
+        assert sub.graph == g.induced([4, 1, 2, 4])[0]
+
+    def test_lifted_witness_verifies(self):
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        inst = Instance(g, (0, 1, 2, 0, 1), Motif({0: 1, 1: 1}))
+        sub, ids = restrict(inst, [0, 3, 4])
+        assert verify_solution(sub, [1, 2])
+        assert verify_solution(inst, [ids[v] for v in [1, 2]])
 
 
 class TestFileFormat:

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import motifkit
 from motifkit.core import CapacityError, InputError
 from motifkit.csct import CsctInstance, check_csct_solution, solve_csct
 
@@ -63,6 +68,30 @@ class TestSolveCsct:
     def test_universe_cap(self):
         with pytest.raises(CapacityError):
             solve_csct(CsctInstance(40, ((0, (0,)),), {0: 1}))
+
+    def test_memory_cap_raises_before_allocating(self):
+        # n = 30 needs 8 GiB for the subset ids alone.  The address space is
+        # capped at 1 GiB, so allocating first would raise MemoryError.
+        script = (
+            "import resource\n"
+            "from motifkit.core import CapacityError\n"
+            "from motifkit.csct import CsctInstance, solve_csct\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "try:\n"
+            "    solve_csct(CsctInstance(30, ((0, (0,)),), {0: 1}))\n"
+            "except CapacityError:\n"
+            "    print('capacity')\n"
+        )
+        src = str(Path(motifkit.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "capacity\n"), proc.stderr
 
     @given(csct_instances())
     @settings(max_examples=200, deadline=None)
