@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core import (
@@ -57,14 +56,30 @@ def iter_guesses(
 ) -> Iterator[Tuple[int, ...]]:
     """Nonempty subsets of `candidates` whose colors fit in the motif.
 
-    Smallest first, each size in `combinations` order; subsets larger than
-    the motif are never generated.
+    Smallest first, each size in `combinations` order.  A prefix that
+    already overflows the motif is never extended, so no rejected subset is
+    built.
     """
-    motif = inst.motif
-    for size in range(1, min(len(candidates), motif.total) + 1):
-        for guess in combinations(candidates, size):
-            if motif.contains(inst.coloring[v] for v in guess):
-                yield guess
+    colors = [inst.coloring[v] for v in candidates]
+    left = dict(inst.motif.multiplicities)
+    n = len(candidates)
+    prefix: List[int] = []
+
+    def extend(start: int, size: int) -> Iterator[Tuple[int, ...]]:
+        if size == 0:
+            yield tuple(prefix)
+            return
+        for i in range(start, n - size + 1):
+            c = colors[i]
+            if left.get(c, 0) > 0:
+                left[c] -= 1
+                prefix.append(candidates[i])
+                yield from extend(i + 1, size - 1)
+                prefix.pop()
+                left[c] += 1
+
+    for size in range(1, min(n, inst.motif.total) + 1):
+        yield from extend(0, size)
 
 
 def pick_by_colors(

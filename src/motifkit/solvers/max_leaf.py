@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core import Instance, InputError, Motif, SolveOutcome, connected_components
@@ -101,19 +103,13 @@ def _solve_cycle(inst: Instance) -> SolveOutcome:
     total = inst.motif.total
     if total > g.n:
         return SolveOutcome.no()
-    if total == g.n:
-        return (
-            SolveOutcome.yes(order)
-            if inst.motif.matches(inst.coloring)
-            else SolveOutcome.no()
-        )
-    doubled = order + order
-    target = inst.motif.as_counter()
-    for start in range(g.n):
-        segment = doubled[start : start + total]
-        if Counter(inst.coloring[v] for v in segment) == target:
-            return SolveOutcome.yes(segment)
-    return SolveOutcome.no()
+    # The doubled order cut to n + total - 1 vertices has one window per start.
+    doubled = (order + order)[: g.n + total - 1]
+    window = solve_on_path([inst.coloring[v] for v in doubled], inst.motif)
+    if window is None:
+        return SolveOutcome.no()
+    i, j = window
+    return SolveOutcome.yes(doubled[i : j + 1])
 
 
 def _path_options(
@@ -169,16 +165,22 @@ def _path_options(
 def _try_trace(
     inst: Instance, t_set: Set[int], paths: List[PathComponent]
 ) -> Optional[SolveOutcome]:
-    g = inst.graph
-    motif = inst.motif
-    remaining = motif.minus(inst.coloring[v] for v in t_set)
-    comps = connected_components(g, t_set)
+    remaining = inst.motif.minus(inst.coloring[v] for v in t_set)
+    comps = connected_components(inst.graph, t_set)
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     n_comps = len(comps)
 
-    color_order = sorted(remaining)
-    color_index = {c: i for i, c in enumerate(color_order)}
-    target = tuple(remaining[c] for c in color_order)
+    # Remaining counts live in one int: per colour a field holding the count
+    # and a guard bit above it.  Subtracting packed counts clears the guard
+    # of every colour they overdraw and borrows nothing from the next field.
+    shift: Dict[int, int] = {}
+    guards = 0
+    for c in sorted(remaining):
+        shift[c] = guards.bit_length()
+        guards |= 1 << (shift[c] + remaining[c].bit_length())
+
+    def pack(counts: Counter) -> int:
+        return sum(m << shift[c] for c, m in counts.items())
 
     def canon(partition: Tuple[int, ...]) -> Tuple[int, ...]:
         seen: Dict[int, int] = {}
@@ -198,35 +200,45 @@ def _try_trace(
             tuple(new_root if p in roots else p for p in partition)
         )
 
-    State = Tuple[Tuple[int, ...], Tuple[int, ...]]
-    start: State = (tuple([0] * len(color_order)), tuple(range(n_comps)))
-    states: Dict[State, List[int]] = {start: []}
+    options = [_path_options(inst, p, t_set, comp_of, remaining) for p in paths]
+    counts = [[Counter(inst.coloring[v] for v in seg) for seg, _ in o] for o in options]
+    # supply[i]: per colour, the most that paths i, i+1, ... can still add.
+    supply = [Counter()]
+    for path_counts in reversed(counts):
+        supply.insert(0, supply[0] + reduce(or_, path_counts))
 
-    for path in paths:
-        options = _path_options(inst, path, t_set, comp_of, remaining)
-        nxt: Dict[State, List[int]] = {}
-        for (counts, partition), chosen in states.items():
-            for seg, touched in options:
-                if seg:
-                    new_counts = list(counts)
-                    ok = True
-                    for v in seg:
-                        idx = color_index[inst.coloring[v]]
-                        new_counts[idx] += 1
-                        if new_counts[idx] > target[idx]:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    key = (tuple(new_counts), merge(partition, touched))
-                else:
-                    key = (counts, partition)
-                if key not in nxt:
-                    nxt[key] = chosen + seg
+    # Each layer maps a state (packed remaining counts, partition of the
+    # trace's components) to its first producer: (parent state, option).
+    # `bound - new` keeps every guard iff no colour still needs more than the
+    # later paths supply; a state failing that cannot reach the goal, while
+    # every parent of one that can reaches it too, so dropping it keeps the
+    # goal's first producer and with it the witness.
+    State = Tuple[int, Tuple[int, ...]]
+    start = (guards + pack(remaining), tuple(range(n_comps)))
+    states: Dict[State, object] = {start: None}
+    layers: List[Dict[State, Tuple[State, int]]] = []
+    for opts, path_counts, later in zip(options, counts, supply[1:]):
+        layer_steps = [(pack(c), touched) for c, (_, touched) in zip(path_counts, opts)]
+        bound = 2 * guards + pack(later & remaining)
+        nxt: Dict[State, Tuple[State, int]] = {}
+        for state in states:
+            rem, partition = state
+            for idx, (delta, touched) in enumerate(layer_steps):
+                new = rem - delta
+                if new & guards == guards and (bound - new) & guards == guards:
+                    key = (new, merge(partition, touched))
+                    if key not in nxt:
+                        nxt[key] = (state, idx)
+        if not nxt:
+            return None
+        layers.append(nxt)
         states = nxt
 
-    goal: State = (target, tuple([0] * n_comps))
-    final = states.get(goal)
-    if final is None:
+    state = (guards, tuple([0] * n_comps))
+    if state not in states:
         return None
-    return try_witness(inst, sorted(t_set) + final)
+    chosen: List[int] = []
+    for opts, layer in zip(reversed(options), reversed(layers)):
+        state, idx = layer[state]
+        chosen += opts[idx][0]
+    return try_witness(inst, sorted(t_set) + chosen)

@@ -4,9 +4,10 @@ import sys
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import motifkit
@@ -15,9 +16,11 @@ from motifkit.core import (
     Graph,
     Instance,
     Motif,
+    SolveOutcome,
+    connected_components,
     verify_solution,
 )
-from motifkit.estimators import greedy_vertex_clique_cover
+from motifkit.estimators import degree3_decomposition, greedy_vertex_clique_cover
 from motifkit.solvers import (
     StarWordProblem,
     solve_brute,
@@ -30,6 +33,8 @@ from motifkit.solvers import (
     solve_vertex_clique_cover,
     solve_vertex_cover,
 )
+from motifkit.solvers import max_leaf
+from motifkit.solvers.common import iter_guesses, try_witness
 
 
 def path_instance(colors, motif):
@@ -274,3 +279,203 @@ def test_dispatch_rejects_bad_witness_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "rejected 1\n"
+
+
+def ref_iter_guesses(inst, candidates):
+    """`iter_guesses` as every `combinations` subset filtered by `contains`."""
+    motif = inst.motif
+    for size in range(1, min(len(candidates), motif.total) + 1):
+        for guess in combinations(candidates, size):
+            if motif.contains(inst.coloring[v] for v in guess):
+                yield guess
+
+
+class TestIterGuesses:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_filtered_combinations(self, data):
+        n = data.draw(st.integers(1, 10))
+        coloring = tuple(data.draw(st.integers(0, 3)) for _ in range(n))
+        motif_colors = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=7))
+        candidates = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+        inst = Instance(Graph(n), coloring, Motif(dict(Counter(motif_colors))))
+        assert list(iter_guesses(inst, candidates)) == list(
+            ref_iter_guesses(inst, candidates)
+        )
+
+
+def ref_solve_cycle(inst):
+    """`max_leaf._solve_cycle` with one `Counter` per start vertex."""
+    g = inst.graph
+    order = [0, g.adjacency[0][0]]
+    while len(order) < g.n:
+        cur, prev = order[-1], order[-2]
+        order.append(next(u for u in g.adjacency[cur] if u != prev))
+    total = inst.motif.total
+    if total > g.n:
+        return SolveOutcome.no()
+    if total == g.n:
+        return (
+            SolveOutcome.yes(order)
+            if inst.motif.matches(inst.coloring)
+            else SolveOutcome.no()
+        )
+    doubled = order + order
+    target = inst.motif.as_counter()
+    for start in range(g.n):
+        segment = doubled[start : start + total]
+        if Counter(inst.coloring[v] for v in segment) == target:
+            return SolveOutcome.yes(segment)
+    return SolveOutcome.no()
+
+
+class TestSolveCycle:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_start_counters(self, data):
+        n = data.draw(st.integers(3, 12))
+        labels = data.draw(st.permutations(range(n)))
+        edges = [(labels[i], labels[(i + 1) % n]) for i in range(n)]
+        coloring = tuple(data.draw(st.integers(0, 2)) for _ in range(n))
+        motif_colors = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=n + 2))
+        inst = Instance(Graph(n, edges), coloring, Motif(dict(Counter(motif_colors))))
+        assert max_leaf._solve_cycle(inst) == ref_solve_cycle(inst)
+
+
+def ref_try_trace(inst, t_set, paths):
+    """`max_leaf._try_trace` with a list of chosen vertices per state and no
+    supply bound: the DP the back-pointer version must reproduce."""
+    g = inst.graph
+    remaining = inst.motif.minus(inst.coloring[v] for v in t_set)
+    comps = connected_components(g, t_set)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    n_comps = len(comps)
+
+    color_order = sorted(remaining)
+    color_index = {c: i for i, c in enumerate(color_order)}
+    target = tuple(remaining[c] for c in color_order)
+
+    def canon(partition):
+        seen = {}
+        out = []
+        for p in partition:
+            if p not in seen:
+                seen[p] = len(seen)
+            out.append(seen[p])
+        return tuple(out)
+
+    def merge(partition, touched):
+        if len(touched) <= 1:
+            return partition
+        roots = {partition[i] for i in touched}
+        new_root = min(roots)
+        return canon(tuple(new_root if p in roots else p for p in partition))
+
+    start = (tuple([0] * len(color_order)), tuple(range(n_comps)))
+    states = {start: []}
+    for path in paths:
+        options = max_leaf._path_options(inst, path, t_set, comp_of, remaining)
+        nxt = {}
+        for (counts, partition), chosen in states.items():
+            for seg, touched in options:
+                if seg:
+                    new_counts = list(counts)
+                    ok = True
+                    for v in seg:
+                        idx = color_index[inst.coloring[v]]
+                        new_counts[idx] += 1
+                        if new_counts[idx] > target[idx]:
+                            ok = False
+                            break
+                    if not ok:
+                        continue
+                    key = (tuple(new_counts), merge(partition, touched))
+                else:
+                    key = (counts, partition)
+                if key not in nxt:
+                    nxt[key] = chosen + seg
+        states = nxt
+
+    final = states.get((target, tuple([0] * n_comps)))
+    if final is None:
+        return None
+    return try_witness(inst, sorted(t_set) + final)
+
+
+@st.composite
+def branching_instances(draw, max_n=12):
+    """Connected instances with at least two vertices of degree >= 3."""
+    n = draw(st.integers(5, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = list(combinations(range(n), 2))
+    edges.update(draw(st.lists(st.sampled_from(pairs), max_size=n, unique=True)))
+    g = Graph(n, sorted(edges))
+    assume(sum(1 for v in range(n) if g.degree(v) >= 3) >= 2)
+    coloring = tuple(draw(st.integers(0, 3)) for _ in range(n))
+    motif = Counter(draw(st.lists(st.integers(0, 3), min_size=1, max_size=8)))
+    return Instance(g, coloring, Motif(dict(motif)))
+
+
+class TestMaxLeafDP:
+    def check_against_reference(self, inst):
+        s, paths = degree3_decomposition(inst.graph)
+        comp_counts = set()
+        for t in iter_guesses(inst, sorted(s)):
+            comp_counts.add(len(connected_components(inst.graph, t)))
+            t_set = set(t)
+            assert max_leaf._try_trace(inst, t_set, paths) == ref_try_trace(
+                inst, t_set, paths
+            ), t
+        with mock.patch.object(max_leaf, "_try_trace", ref_try_trace):
+            expected = solve_max_leaf_xp(inst)
+        got = solve_max_leaf_xp(inst)
+        assert got == expected
+        assert got.is_yes == solve_brute(inst).is_yes
+        return comp_counts
+
+    @given(branching_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_same_witness_as_list_dp(self, inst):
+        self.check_against_reference(inst)
+
+    def test_trace_components_merge_along_a_path(self):
+        # Two stars (centres 0 and 1) joined through vertex 2: the trace
+        # {0, 1} has two components, which only the path 0-2-1 connects.
+        g = Graph(8, [(0, 2), (2, 1), (0, 3), (0, 4), (1, 5), (1, 6), (6, 7)])
+        inst = Instance(g, (0, 0, 1, 2, 2, 2, 2, 2), Motif({0: 2, 1: 1, 2: 1}))
+        assert max(self.check_against_reference(inst)) == 2
+        assert {0, 1, 2} < set(solve_max_leaf_xp(inst).witness)
+
+
+X3C_Q5_SCRIPT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from motifkit.generators import X3cInstance, gen_x3c_paths
+from motifkit.solvers import solve_max_leaf_xp
+
+sources = [
+    ((1, 7, 10), (2, 7, 8), (2, 6, 7), (3, 8, 13), (9, 11, 14), (4, 6, 9),
+     (0, 1, 5), (5, 7, 11), (5, 10, 11), (0, 1, 10), (2, 12, 14)),
+    ((3, 6, 7), (9, 10, 14), (1, 6, 10), (2, 4, 11), (4, 10, 12), (1, 5, 6),
+     (5, 8, 13), (3, 4, 12), (6, 10, 14), (1, 13, 14), (0, 4, 12)),
+]
+for triples in sources:
+    gen = gen_x3c_paths(X3cInstance(5, triples))
+    out = solve_max_leaf_xp(gen.instance)
+    print(gen.instance.graph.n, out.is_yes, X3cInstance(5, triples).has_exact_cover())
+"""
+
+
+def test_maxleaf_decides_x3c_paths_q5_in_1gib():
+    # The list-per-state DP needed 1.36 GB at q = 4 and was killed at q = 5.
+    src = str(Path(motifkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", X3C_Q5_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "78 True True\n78 False False\n"
