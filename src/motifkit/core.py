@@ -232,20 +232,11 @@ def parse_instance(text: str) -> Instance:
     colors: Dict[int, int] = {}
     mults: Dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
-
-        def ints(count: int) -> List[int]:
-            if len(fields) != count + 1:
-                raise InputError(f"line {lineno}: expected {count} fields")
-            try:
-                return [int(f) for f in fields[1:]]
-            except ValueError:
-                raise InputError(f"line {lineno}: non-integer field") from None
-
-        if fields[0] == "p":
+        tag = fields[0]
+        if tag == "p":
             if header is not None:
                 raise InputError(f"line {lineno}: duplicate header")
             if len(fields) != 4 or fields[1] != "gm":
@@ -254,25 +245,29 @@ def parse_instance(text: str) -> Instance:
                 header = (int(fields[2]), int(fields[3]))
             except ValueError:
                 raise InputError(f"line {lineno}: non-integer header field") from None
-        elif fields[0] == "e":
-            u, v = ints(2)
-            edges.append((u, v))
-        elif fields[0] == "c":
-            v, color = ints(2)
-            if v in colors:
-                raise InputError(f"line {lineno}: vertex {v} colored twice")
-            if color < 0:
+            continue
+        if tag not in ("e", "c", "m"):
+            raise InputError(f"line {lineno}: unknown record {tag!r}")
+        if len(fields) != 3:
+            raise InputError(f"line {lineno}: expected 2 fields")
+        try:
+            a, b = int(fields[1]), int(fields[2])
+        except ValueError:
+            raise InputError(f"line {lineno}: non-integer field") from None
+        if tag == "e":
+            edges.append((a, b))
+        elif tag == "c":
+            if a in colors:
+                raise InputError(f"line {lineno}: vertex {a} colored twice")
+            if b < 0:
                 raise InputError(f"line {lineno}: negative color")
-            colors[v] = color
-        elif fields[0] == "m":
-            color, mult = ints(2)
-            if color in mults:
-                raise InputError(f"line {lineno}: motif color {color} repeated")
-            if mult < 1:
-                raise InputError(f"line {lineno}: multiplicity must be >= 1")
-            mults[color] = mult
+            colors[a] = b
         else:
-            raise InputError(f"line {lineno}: unknown record {fields[0]!r}")
+            if a in mults:
+                raise InputError(f"line {lineno}: motif color {a} repeated")
+            if b < 1:
+                raise InputError(f"line {lineno}: multiplicity must be >= 1")
+            mults[a] = b
     if header is None:
         raise InputError("missing 'p gm' header")
     n, m = header
@@ -324,10 +319,13 @@ def restrict(inst: Instance, vertices: Sequence[int]) -> Tuple[Instance, List[in
 
     Also returns `ids`, where `ids[i]` is the original id of new vertex `i`
     (ids ascend), so a witness `w` of the sub-instance lifts back to
-    `[ids[v] for v in w]`.
+    `[ids[v] for v in w]`.  When `vertices` are all of 0..n-1, `inst`
+    itself is returned.
     """
-    sub, remap = inst.graph.induced(vertices)
-    ids = sorted(remap)
+    ids = sorted(set(vertices))
+    if ids == list(range(inst.graph.n)):
+        return inst, ids
+    sub, _ = inst.graph.induced(ids)
     return Instance(sub, tuple(inst.coloring[v] for v in ids), inst.motif), ids
 
 

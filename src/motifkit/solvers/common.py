@@ -97,6 +97,11 @@ def pick_by_colors(
     return picks
 
 
+def counter_leq(a: Counter, b: Counter) -> bool:
+    """True iff every color count in `a` is at most its count in `b`."""
+    return all(b[c] >= cnt for c, cnt in a.items())
+
+
 def try_witness(inst: Instance, vertices: Iterable[int]) -> Optional[SolveOutcome]:
     """Verified Yes outcome, or None if the candidate fails the checks."""
     vs = sorted(set(vertices))

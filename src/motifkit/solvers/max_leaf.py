@@ -118,47 +118,52 @@ def _path_options(
     t_set: Set[int],
     comp_of: Dict[int, int],
     remaining: Counter,
-) -> List[Tuple[List[int], Set[int]]]:
-    """Admissible intersections of a solution with one path.
+) -> List[Tuple[List[int], Set[int], Counter]]:
+    """Admissible intersections of a solution with one path, each with the
+    components it touches and its color counts.
 
     Every taken segment must touch the trace through a path end, since inner
     vertices have no neighbors outside the path.
     """
     verts = path.vertices
+    colors = [inst.coloring[v] for v in verts]
     n = len(verts)
     first_t = {comp_of[u] for u in path.first_attach if u in t_set}
     last_t = {comp_of[u] for u in path.last_attach if u in t_set}
-    options: List[Tuple[List[int], Set[int]]] = [([], set())]
+    options: List[Tuple[List[int], Set[int], Counter]] = [([], set(), Counter())]
 
-    def feasible(vs: List[int]) -> bool:
-        counts = Counter(inst.coloring[v] for v in vs)
-        return all(counts[c] <= remaining[c] for c in counts)
+    def add(counts: Counter, i: int) -> bool:
+        """Count vertex i in; False once its color exceeds the remaining."""
+        c = colors[i]
+        counts[c] += 1
+        return counts[c] <= remaining[c]
 
     if first_t:
+        counts = Counter()
         for a in range(1, n + 1):
-            seg = list(verts[:a])
-            if not feasible(seg):
+            if not add(counts, a - 1):
                 break
             touched = set(first_t) | (last_t if a == n else set())
-            options.append((seg, touched))
+            options.append((list(verts[:a]), touched, Counter(counts)))
     if last_t:
+        counts = Counter()
         for b in range(1, n + 1):
-            seg = list(verts[n - b :])
-            if not feasible(seg):
+            if not add(counts, n - b):
                 break
             touched = set(last_t) | (first_t if b == n else set())
-            options.append((seg, touched))
+            options.append((list(verts[n - b :]), touched, Counter(counts)))
     if first_t and last_t:
         # Disjoint prefix + suffix with a gap of at least one vertex.
+        prefix_counts = Counter()
         for a in range(1, n - 1):
-            prefix = list(verts[:a])
-            if not feasible(prefix):
+            if not add(prefix_counts, a - 1):
                 break
+            prefix, counts = list(verts[:a]), Counter(prefix_counts)
             for b in range(1, n - a):
-                both = prefix + list(verts[n - b :])
-                if not feasible(both):
+                if not add(counts, n - b):
                     break
-                options.append((both, first_t | last_t))
+                both = prefix + list(verts[n - b :])
+                options.append((both, first_t | last_t, Counter(counts)))
     return options
 
 
@@ -201,7 +206,7 @@ def _try_trace(
         )
 
     options = [_path_options(inst, p, t_set, comp_of, remaining) for p in paths]
-    counts = [[Counter(inst.coloring[v] for v in seg) for seg, _ in o] for o in options]
+    counts = [[c for _, _, c in o] for o in options]
     # supply[i]: per colour, the most that paths i, i+1, ... can still add.
     supply = [Counter()]
     for path_counts in reversed(counts):
@@ -218,7 +223,7 @@ def _try_trace(
     states: Dict[State, object] = {start: None}
     layers: List[Dict[State, Tuple[State, int]]] = []
     for opts, path_counts, later in zip(options, counts, supply[1:]):
-        layer_steps = [(pack(c), touched) for c, (_, touched) in zip(path_counts, opts)]
+        layer_steps = [(pack(c), touched) for _, touched, c in opts]
         bound = 2 * guards + pack(later & remaining)
         nxt: Dict[State, Tuple[State, int]] = {}
         for state in states:

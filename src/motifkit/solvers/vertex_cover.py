@@ -18,7 +18,8 @@ from ..combinatorics import (
     max_matching_with_cover,
 )
 from ..estimators import min_vertex_cover
-from .common import dispatch_components, iter_guesses, pick_by_colors, try_witness
+from .common import counter_leq, dispatch_components, iter_guesses
+from .common import pick_by_colors, try_witness
 
 
 def solve_vertex_cover(
@@ -73,7 +74,7 @@ def _try_guess(
         for v in independent
         if any(u in s_prime_set for u in g.adjacency[v])
     ]
-    if not _counter_leq(remaining, Counter(inst.coloring[v] for v in avail)):
+    if not counter_leq(remaining, Counter(inst.coloring[v] for v in avail)):
         return None
 
     comps = [frozenset(c) for c in connected_components(g, s_prime)]
@@ -202,7 +203,3 @@ def _match_vertices(
     if result.size < len(candidates):
         return None
     return [pool[j] for _, j in sorted(result.matching)]
-
-
-def _counter_leq(a: Counter, b: Counter) -> bool:
-    return all(b[c] >= cnt for c, cnt in a.items())

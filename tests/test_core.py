@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -156,12 +157,38 @@ class TestRestrict:
         assert sub.motif == inst.motif
         assert sub.graph == g.induced([4, 1, 2, 4])[0]
 
+    def test_all_vertices_returns_the_input(self):
+        inst = Instance(Graph(3, [(0, 1), (1, 2)]), (0, 1, 0), Motif({0: 1}))
+        sub, ids = restrict(inst, range(3))
+        assert sub is inst
+        assert ids == [0, 1, 2]
+
     def test_lifted_witness_verifies(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         inst = Instance(g, (0, 1, 2, 0, 1), Motif({0: 1, 1: 1}))
         sub, ids = restrict(inst, [0, 3, 4])
         assert verify_solution(sub, [1, 2])
         assert verify_solution(inst, [ids[v] for v in [1, 2]])
+
+
+# Malformed instance text -> the whole error message it must raise.
+MALFORMED = {
+    "c 0 0\nm 0 1\n": "missing 'p gm' header",
+    "p gm 1 0\nm 0 1\n": "every vertex 0..n-1 needs exactly one 'c' line",
+    "p gm 1 0\nc 0 0\nc 0 1\nm 0 1\n": "line 3: vertex 0 colored twice",
+    "p gm 2 1\nc 0 0\nc 1 0\nm 0 1\n": "header promises 1 edges, found 0",
+    "p gm 1 0\nc 0 0\nm 0 0\n": "line 3: multiplicity must be >= 1",
+    "p gm 1 0\nc 0 0\nm 0 1\nq 3\n": "line 4: unknown record 'q'",
+    "p gm 2 1\ne 0\nc 0 0\nc 1 0\nm 0 1\n": "line 2: expected 2 fields",
+    "p gm 1 0\nc 0 0 7\nm 0 1\n": "line 2: expected 2 fields",
+    "p gm 2 1\ne 0 x\nc 0 0\nc 1 0\nm 0 1\n": "line 2: non-integer field",
+    "p gm x 0\nc 0 0\nm 0 1\n": "line 1: non-integer header field",
+    "p gm 1 0\n# note\np gm 1 0\n": "line 3: duplicate header",
+    "p gx 1 0\nc 0 0\nm 0 1\n": "line 1: header must be 'p gm <n> <m>'",
+    "p gm 1\nc 0 0\nm 0 1\n": "line 1: header must be 'p gm <n> <m>'",
+    "p gm 1 0\nc 0 -1\nm 0 1\n": "line 2: negative color",
+    "p gm 1 0\nc 0 0\nm 0 1\nm 0 2\n": "line 4: motif color 0 repeated",
+}
 
 
 class TestFileFormat:
@@ -185,19 +212,10 @@ class TestFileFormat:
         inst = parse_instance(text)
         assert inst.graph.n == 1
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "c 0 0\nm 0 1\n",  # missing header
-            "p gm 1 0\nm 0 1\n",  # vertex never colored
-            "p gm 1 0\nc 0 0\nc 0 1\nm 0 1\n",  # colored twice
-            "p gm 2 1\nc 0 0\nc 1 0\nm 0 1\n",  # edge count off
-            "p gm 1 0\nc 0 0\nm 0 0\n",  # zero multiplicity
-            "p gm 1 0\nc 0 0\nm 0 1\nq 3\n",  # unknown record
-        ],
-    )
+    @pytest.mark.parametrize("text", list(MALFORMED))
     def test_rejects_malformed(self, text):
-        with pytest.raises(InputError):
+        message = MALFORMED[text]
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             parse_instance(text)
 
     def test_huge_header_rejected_without_allocating(self):

@@ -33,8 +33,9 @@ from motifkit.solvers import (
     solve_vertex_clique_cover,
     solve_vertex_cover,
 )
-from motifkit.solvers import max_leaf
-from motifkit.solvers.common import iter_guesses, try_witness
+from motifkit.csct import CsctInstance, solve_csct
+from motifkit.solvers import dist_clique, max_leaf
+from motifkit.solvers.common import iter_guesses, pick_by_colors, try_witness
 
 
 def path_instance(colors, motif):
@@ -377,7 +378,7 @@ def ref_try_trace(inst, t_set, paths):
         options = max_leaf._path_options(inst, path, t_set, comp_of, remaining)
         nxt = {}
         for (counts, partition), chosen in states.items():
-            for seg, touched in options:
+            for seg, touched, _ in options:
                 if seg:
                     new_counts = list(counts)
                     ok = True
@@ -445,6 +446,80 @@ class TestMaxLeafDP:
         inst = Instance(g, (0, 0, 1, 2, 2, 2, 2, 2), Motif({0: 2, 1: 1, 2: 1}))
         assert max(self.check_against_reference(inst)) == 2
         assert {0, 1, 2} < set(solve_max_leaf_xp(inst).witness)
+
+
+def ref_dist_clique_try_guess(inst, s_prime, clique, s_index, nbr_mask, _supply):
+    """`dist_clique._try_guess` without the clique supply check (`_supply` is
+    ignored): every guess runs the cover and the completion."""
+    remaining = inst.motif.minus(inst.coloring[v] for v in s_prime)
+    if not remaining:
+        return try_witness(inst, s_prime)
+    comps = connected_components(inst.graph, s_prime)
+    comp_masks = [sum(1 << s_index[v] for v in comp) for comp in comps]
+    seen = {}
+    sets = []
+    set_vertex = []
+    for v in clique:
+        color = inst.coloring[v]
+        if remaining[color] == 0:
+            continue
+        elems = tuple(j for j, mask in enumerate(comp_masks) if nbr_mask[v] & mask)
+        key = (color, elems)
+        if key in seen:
+            continue
+        seen[key] = v
+        sets.append(key)
+        set_vertex.append(v)
+    sol = solve_csct(CsctInstance(len(comps), tuple(sets), dict(remaining)))
+    if sol is None:
+        return None
+    chosen = [set_vertex[j] for j in sol.chosen]
+    still_needed = Counter(remaining)
+    still_needed.subtract(Counter(inst.coloring[v] for v in chosen))
+    completion = pick_by_colors(inst, +still_needed, clique, set(chosen))
+    if completion is None:
+        return None
+    return try_witness(inst, list(s_prime) + chosen + completion)
+
+
+@st.composite
+def split_instances(draw, max_n=14):
+    """A connected split graph, a clique plus at most 5 vertices S, and S."""
+    k = draw(st.integers(0, 5))
+    n = draw(st.integers(k + 1, max_n))
+    order = draw(st.permutations(range(n)))
+    s, clique = order[:k], order[k:]
+    edges = set(combinations(sorted(clique), 2))
+    for i, v in enumerate(s):
+        # One forced edge into the clique or an earlier S vertex keeps G connected.
+        u = draw(st.sampled_from(clique + s[:i]))
+        edges.add((min(u, v), max(u, v)))
+    pairs = [(min(u, v), max(u, v)) for u in s for v in range(n) if u != v]
+    edges.update(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else [])
+    coloring = tuple(draw(st.integers(0, 3)) for _ in range(n))
+    motif = Counter(draw(st.lists(st.integers(0, 3), min_size=1, max_size=6)))
+    return Instance(Graph(n, sorted(edges)), coloring, Motif(dict(motif))), set(s)
+
+
+class TestDistCliqueSupply:
+    @given(split_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_same_outcome_as_unchecked_guesses(self, case):
+        inst, s = case
+        with mock.patch.object(dist_clique, "_try_guess", ref_dist_clique_try_guess):
+            expected = dist_clique._solve_connected(inst, s)
+        got = dist_clique._solve_connected(inst, s)
+        assert got == expected
+        assert got.is_yes == solve_brute(inst).is_yes
+
+    def test_missing_clique_color_runs_no_cover(self):
+        # Clique 0-1-2 of colour 0; vertices 3 and 4 of colour 1 hang off it.
+        # Every guess leaves some colour 1 to the clique, which has none.
+        g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
+        inst = Instance(g, (0, 0, 0, 1, 1), Motif({0: 1, 1: 3}))
+        with mock.patch.object(dist_clique, "solve_csct", wraps=solve_csct) as csct:
+            assert not solve_dist_clique(inst, deletion_set={3, 4})
+        assert csct.call_count == 0
 
 
 X3C_Q5_SCRIPT = """
