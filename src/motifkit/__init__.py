@@ -15,6 +15,7 @@ from .core import (
     prune_wrong_colors,
     restrict,
     verify_solution,
+    witness_failure,
 )
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "prune_wrong_colors",
     "restrict",
     "verify_solution",
+    "witness_failure",
 ]
 
 __version__ = "0.1.0"

@@ -21,10 +21,11 @@ from .core import (
     InputError,
     Instance,
     SolveOutcome,
-    connected_components,
     format_instance,
+    format_witness,
     parse_instance,
     parse_witness,
+    witness_failure,
 )
 from .estimators import (
     dist_to_clique_set,
@@ -164,7 +165,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     outcome = SOLVERS[algo](inst, vcc, ecc)
     if outcome.is_yes:
         print("YES")
-        print(" ".join(str(v) for v in outcome.witness))
+        print(format_witness(outcome.witness), end="")
         return EXIT_YES
     print("NO")
     return EXIT_NO
@@ -172,19 +173,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = parse_instance(_read_text(args.instance))
-    witness = parse_witness(_read_text(args.witness))
-    for v in witness:
-        if not 0 <= v < inst.graph.n:
-            raise InputError(f"witness vertex {v} out of range")
-    colors = [inst.coloring[v] for v in witness]
-    if len(set(witness)) != len(witness) or not inst.motif.matches(colors):
-        print("multiset")
-        return EXIT_NO
-    if len(connected_components(inst.graph, witness)) != 1:
-        print("connectivity")
-        return EXIT_NO
-    print("OK")
-    return EXIT_YES
+    failure = witness_failure(inst, parse_witness(_read_text(args.witness)))
+    print(failure or "OK")
+    return EXIT_YES if failure is None else EXIT_NO
 
 
 # ---------------------------------------------------------------------------

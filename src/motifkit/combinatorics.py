@@ -3,18 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterator, List, Sequence, Set, Tuple
 
 from .core import InputError
-
-
-def iter_subsets(items: Sequence) -> Iterator[List]:
-    """All 2^n subsets of items, empty set first, in binary-counter order."""
-    items = list(items)
-    n = len(items)
-    for mask in range(1 << n):
-        yield [items[i] for i in range(n) if mask >> i & 1]
 
 
 def iter_set_partitions(items: Sequence, parts: int | None = None) -> Iterator[List[List]]:
@@ -70,9 +62,6 @@ def iter_labeled_trees(k: int) -> Iterator[Set[Tuple[int, int]]]:
     if k == 1:
         yield set()
         return
-    if k == 2:
-        yield {(0, 1)}
-        return
 
     def decode(seq: Tuple[int, ...]) -> Set[Tuple[int, int]]:
         degree = [1] * k
@@ -90,15 +79,7 @@ def iter_labeled_trees(k: int) -> Iterator[Set[Tuple[int, int]]]:
         edges.add((u, v))
         return edges
 
-    def seqs(length: int) -> Iterator[Tuple[int, ...]]:
-        if length == 0:
-            yield ()
-            return
-        for rest in seqs(length - 1):
-            for x in range(k):
-                yield rest + (x,)
-
-    for seq in seqs(k - 2):
+    for seq in product(range(k), repeat=k - 2):
         yield decode(seq)
 
 

@@ -105,10 +105,6 @@ class Motif:
         self.multiplicities: Dict[int, int] = dict(multiplicities)
         self.total = sum(multiplicities.values())
 
-    @classmethod
-    def from_colors(cls, colors: Iterable[int]) -> "Motif":
-        return cls(dict(Counter(colors)))
-
     def count(self, color: int) -> int:
         return self.multiplicities.get(color, 0)
 
@@ -179,20 +175,26 @@ class SolveOutcome:
         return self.is_yes
 
 
-def verify_solution(inst: Instance, r: Iterable[int]) -> bool:
-    """Check that r is nonempty, G[r] is connected, and c(r) equals the motif."""
+def witness_failure(inst: Instance, r: Iterable[int]) -> Optional[str]:
+    """None if r is a solution, else "multiset" (a repeated vertex, or colors
+    other than the motif's) or "connectivity" (G[r] is disconnected).  A
+    vertex out of range raises `InputError`."""
     vertices = list(r)
     for v in vertices:
         if not (0 <= v < inst.graph.n):
             raise InputError(f"witness vertex {v} out of range")
-    if len(set(vertices)) != len(vertices):
-        return False
-    if not vertices:
-        return False
-    if not inst.motif.matches(inst.coloring[v] for v in vertices):
-        return False
-    comps = connected_components(inst.graph, vertices)
-    return len(comps) == 1
+    if len(set(vertices)) != len(vertices) or not inst.motif.matches(
+        inst.coloring[v] for v in vertices
+    ):
+        return "multiset"
+    if len(connected_components(inst.graph, vertices)) != 1:
+        return "connectivity"
+    return None
+
+
+def verify_solution(inst: Instance, r: Iterable[int]) -> bool:
+    """Check that r is nonempty, G[r] is connected, and c(r) equals the motif."""
+    return witness_failure(inst, r) is None
 
 
 def connected_components(g: Graph, s: Iterable[int]) -> List[List[int]]:

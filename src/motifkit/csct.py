@@ -114,16 +114,3 @@ def solve_csct(inst: CsctInstance) -> Optional[CsctSolution]:
             u &= ~masks[j]
     assert u == 0
     return CsctSolution(tuple(sorted(chosen)))
-
-
-def check_csct_solution(inst: CsctInstance, sol: CsctSolution) -> bool:
-    """Chosen sets cover the ground set within every color threshold."""
-    covered = set()
-    used: Dict[int, int] = {}
-    for j in sol.chosen:
-        color, elems = inst.sets[j]
-        covered.update(elems)
-        used[color] = used.get(color, 0) + 1
-    if covered != set(range(inst.n)):
-        return False
-    return all(cnt <= inst.thresholds[c] for c, cnt in used.items())

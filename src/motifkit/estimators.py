@@ -1,5 +1,5 @@
-"""Structural-parameter computation: deletion sets, path decompositions,
-clique-cover validation, and a small exact max-leaf oracle."""
+"""Structural-parameter computation: deletion sets, co-cluster classes, path
+decompositions and clique-cover validation."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .core import CapacityError, Graph, InputError, connected_components
+from .core import Graph, InputError, connected_components
 
 
 def _neighbour_masks(g: Graph) -> List[int]:
@@ -157,10 +157,18 @@ def is_co_cluster(g: Graph) -> bool:
 
 
 def co_cluster_classes(g: Graph) -> List[List[int]]:
-    """Maximal independent classes of a co-cluster: components of the complement."""
+    """Maximal independent classes of a co-cluster, by smallest vertex.
+
+    Non-adjacency is an equivalence in a co-cluster, so a vertex's class is
+    itself plus its non-neighbours, and its smallest member is the lowest
+    vertex outside its neighbourhood.
+    """
     if not is_co_cluster(g):
         raise InputError("graph is not a co-cluster")
-    return connected_components(g.complement(), range(g.n))
+    classes: Dict[int, List[int]] = {}
+    for v, mask in enumerate(_neighbour_masks(g)):
+        classes.setdefault(_lowest(~mask), []).append(v)
+    return list(classes.values())
 
 
 @dataclass
@@ -232,34 +240,6 @@ def validate_clique_cover(g: Graph, cliques: Sequence[Sequence[int]], mode: str)
     for c in cliques:
         covered.update((min(u, v), max(u, v)) for u, v in combinations(c, 2))
     return set(g.edges()) <= covered
-
-
-def max_leaf_oracle(g: Graph) -> int:
-    """Exact max leaf number for small connected graphs.
-
-    Uses the classical correspondence between spanning trees with many leaves
-    and small connected dominating sets: for n >= 3, ml(G) = n - min |D| over
-    connected dominating sets D.
-    """
-    if g.n > 10:
-        raise CapacityError("max_leaf_oracle is limited to n <= 10")
-    if len(connected_components(g, range(g.n))) != 1:
-        raise InputError("graph must be connected")
-    if g.n == 1:
-        return 1
-    if g.n == 2:
-        return 2
-    all_v = set(range(g.n))
-    for size in range(1, g.n + 1):
-        for d in combinations(range(g.n), size):
-            dominated = set(d)
-            for v in d:
-                dominated.update(g.adjacency[v])
-            if dominated != all_v:
-                continue
-            if len(connected_components(g, d)) == 1:
-                return g.n - size
-    raise AssertionError("unreachable for connected graphs")
 
 
 @dataclass

@@ -7,7 +7,7 @@ from .vertex_cover import solve_vertex_cover
 from .edge_clique_cover import solve_edge_clique_cover
 from .vertex_clique_cover import solve_vertex_clique_cover
 from .co_cluster import solve_co_cluster
-from .max_leaf import StarWordProblem, solve_max_leaf_xp, solve_star_words
+from .max_leaf import solve_max_leaf_xp
 
 __all__ = [
     "solve_brute",
@@ -18,6 +18,4 @@ __all__ = [
     "solve_vertex_clique_cover",
     "solve_co_cluster",
     "solve_max_leaf_xp",
-    "solve_star_words",
-    "StarWordProblem",
 ]

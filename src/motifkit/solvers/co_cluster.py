@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List, Optional, Set
 
 from ..core import Graph, Instance, Motif, SolveOutcome, connected_components, restrict
-from ..estimators import dist_to_co_cluster_set
+from ..estimators import co_cluster_classes, dist_to_co_cluster_set
 from .common import dispatch_components, try_witness
 from .dist_clique import _solve_connected as _solve_dc_connected
 from .vertex_cover import solve_vertex_cover
@@ -25,10 +25,8 @@ def _solve_connected(inst: Instance) -> SolveOutcome:
     g = inst.graph
     x = dist_to_co_cluster_set(g)
     rest = [v for v in range(g.n) if v not in x]
-    rest_sub, _ = g.induced(rest)
     classes = [
-        [rest[i] for i in comp]
-        for comp in connected_components(rest_sub.complement(), range(len(rest)))
+        [rest[i] for i in cls] for cls in co_cluster_classes(g.induced(rest)[0])
     ]
 
     # Case A: the solution meets at most one class, so it lives in

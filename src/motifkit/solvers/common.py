@@ -53,21 +53,22 @@ def restrict_family(
 
 def iter_guesses(
     inst: Instance, candidates: Sequence[int]
-) -> Iterator[Tuple[int, ...]]:
+) -> Iterator[Tuple[Tuple[int, ...], Counter]]:
     """Nonempty subsets of `candidates` whose colors fit in the motif.
 
-    Smallest first, each size in `combinations` order.  A prefix that
-    already overflows the motif is never extended, so no rejected subset is
-    built.
+    Each comes with a fresh `Counter` of the motif's colors it leaves over
+    (positive counts only).  Smallest first, each size in `combinations`
+    order.  A prefix that already overflows the motif is never extended, so
+    no rejected subset is built.
     """
     colors = [inst.coloring[v] for v in candidates]
     left = dict(inst.motif.multiplicities)
     n = len(candidates)
     prefix: List[int] = []
 
-    def extend(start: int, size: int) -> Iterator[Tuple[int, ...]]:
+    def extend(start: int, size: int) -> Iterator[Tuple[Tuple[int, ...], Counter]]:
         if size == 0:
-            yield tuple(prefix)
+            yield tuple(prefix), Counter({c: m for c, m in left.items() if m})
             return
         for i in range(start, n - size + 1):
             c = colors[i]

@@ -54,8 +54,10 @@ def _solve_connected(inst: Instance, s: Set[int]) -> SolveOutcome:
                 nbr_mask[v] |= 1 << s_index[u]
     supply = Counter(inst.coloring[v] for v in clique)
 
-    for s_prime in iter_guesses(inst, s_list):
-        outcome = _try_guess(inst, s_prime, clique, s_index, nbr_mask, supply)
+    for s_prime, remaining in iter_guesses(inst, s_list):
+        outcome = _try_guess(
+            inst, s_prime, remaining, clique, s_index, nbr_mask, supply
+        )
         if outcome is not None:
             return outcome
     return SolveOutcome.no()
@@ -64,14 +66,12 @@ def _solve_connected(inst: Instance, s: Set[int]) -> SolveOutcome:
 def _try_guess(
     inst: Instance,
     s_prime: Tuple[int, ...],
+    remaining: Counter,
     clique: List[int],
     s_index: Dict[int, int],
     nbr_mask: List[int],
     supply: Counter,
 ) -> Optional[SolveOutcome]:
-    motif = inst.motif
-    remaining = motif.minus(inst.coloring[v] for v in s_prime)
-
     if not remaining:
         # S' would be the whole solution.
         return try_witness(inst, s_prime)

@@ -10,55 +10,14 @@ the paths decides the instance.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core import Instance, InputError, Motif, SolveOutcome, connected_components
+from ..core import Instance, SolveOutcome, connected_components
 from ..estimators import PathComponent, degree3_decomposition
 from .common import dispatch_components, iter_guesses, try_witness
 from .paths import solve_on_path
-
-
-@dataclass(frozen=True)
-class StarWordProblem:
-    """Find prefixes of the words whose combined color counts hit the target."""
-
-    target: Motif
-    words: Tuple[Tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.words:
-            raise InputError("need at least one word")
-        object.__setattr__(
-            self, "words", tuple(tuple(w) for w in self.words)
-        )
-
-
-def solve_star_words(problem: StarWordProblem) -> Optional[List[int]]:
-    """Prefix lengths (one per word) realizing the target counts, or None."""
-    target = problem.target.as_counter()
-
-    def key(counter: Counter) -> Tuple[Tuple[int, int], ...]:
-        return tuple(sorted(counter.items()))
-
-    states: Dict[Tuple[Tuple[int, int], ...], List[int]] = {(): []}
-    for word in problem.words:
-        nxt: Dict[Tuple[Tuple[int, int], ...], List[int]] = {}
-        for state, lens in states.items():
-            running = Counter(dict(state))
-            for take in range(len(word) + 1):
-                if take > 0:
-                    c = word[take - 1]
-                    running[c] += 1
-                    if running[c] > target[c]:
-                        break
-                k = key(running)
-                if k not in nxt:
-                    nxt[k] = lens + [take]
-        states = nxt
-    return states.get(key(target))
 
 
 def solve_max_leaf_xp(inst: Instance) -> SolveOutcome:
@@ -87,8 +46,8 @@ def _solve_connected(inst: Instance) -> SolveOutcome:
             i, j = window
             return SolveOutcome.yes(path.vertices[i : j + 1])
 
-    for t in iter_guesses(inst, sorted(s)):
-        outcome = _try_trace(inst, set(t), paths)
+    for t, remaining in iter_guesses(inst, sorted(s)):
+        outcome = _try_trace(inst, set(t), remaining, paths)
         if outcome is not None:
             return outcome
     return SolveOutcome.no()
@@ -168,9 +127,8 @@ def _path_options(
 
 
 def _try_trace(
-    inst: Instance, t_set: Set[int], paths: List[PathComponent]
+    inst: Instance, t_set: Set[int], remaining: Counter, paths: List[PathComponent]
 ) -> Optional[SolveOutcome]:
-    remaining = inst.motif.minus(inst.coloring[v] for v in t_set)
     comps = connected_components(inst.graph, t_set)
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     n_comps = len(comps)

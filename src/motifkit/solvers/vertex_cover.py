@@ -50,19 +50,20 @@ def _solve_connected(inst: Instance, cover: Set[int]) -> SolveOutcome:
             if inst.coloring[v] == color:
                 return SolveOutcome.yes([v])
 
-    for s_prime in iter_guesses(inst, s_list):
-        outcome = _try_guess(inst, s_prime, independent)
+    for s_prime, remaining in iter_guesses(inst, s_list):
+        outcome = _try_guess(inst, s_prime, remaining, independent)
         if outcome is not None:
             return outcome
     return SolveOutcome.no()
 
 
 def _try_guess(
-    inst: Instance, s_prime: Tuple[int, ...], independent: List[int]
+    inst: Instance,
+    s_prime: Tuple[int, ...],
+    remaining: Counter,
+    independent: List[int],
 ) -> Optional[SolveOutcome]:
     g = inst.graph
-    motif = inst.motif
-    remaining = motif.minus(inst.coloring[v] for v in s_prime)
     if not remaining:
         return try_witness(inst, s_prime)
 

@@ -15,13 +15,12 @@ from motifkit.core import (
     connected_components,
     verify_solution,
 )
-from motifkit.csct import CsctInstance, check_csct_solution, solve_csct
+from motifkit.csct import CsctInstance, solve_csct
 from motifkit.estimators import (
     degree3_decomposition,
     dist_to_clique_set,
     dist_to_co_cluster_set,
     greedy_vertex_clique_cover,
-    max_leaf_oracle,
     min_vertex_cover,
 )
 from motifkit.generators import (
@@ -48,6 +47,7 @@ from motifkit.solvers import (
     solve_vertex_clique_cover,
     solve_vertex_cover,
 )
+from oracles import check_csct_solution, max_leaf_oracle
 
 
 def report(number, label, start, budget):

@@ -42,6 +42,10 @@ class TestSolve:
         assert out[0] == "YES"
         assert set(out[1].split()) <= {"0", "1", "2"}
 
+    def test_output_is_verdict_then_sorted_witness_line(self, yes_file, capsys):
+        assert main(["solve", yes_file, "--algo", "brute"]) == EXIT_YES
+        assert capsys.readouterr().out == "YES\n0 1\n"
+
     def test_no_instance(self, no_file, capsys):
         assert main(["solve", no_file]) == EXIT_NO
         assert capsys.readouterr().out.strip() == "NO"
@@ -115,9 +119,25 @@ class TestVerify:
         code, out = self.run(tmp_path, "0 2\n", capsys, instance=text)
         assert (code, out) == (EXIT_NO, "connectivity")
 
+    @pytest.mark.parametrize("witness", ["1 1\n", "\n", "0 1 2\n"])
+    def test_repeated_empty_or_oversized_is_multiset(self, tmp_path, capsys, witness):
+        assert self.run(tmp_path, witness, capsys) == (EXIT_NO, "multiset")
+
     def test_out_of_range(self, tmp_path, capsys):
         code, _ = self.run(tmp_path, "0 9\n", capsys)
         assert code == EXIT_PARSE
+
+    def test_out_of_range_message(self, tmp_path, capsys):
+        inst = tmp_path / "i.gm"
+        inst.write_text(YES_TEXT)
+        wit = tmp_path / "w.txt"
+        wit.write_text("0 9\n")
+        assert main(["verify", str(inst), str(wit)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "",
+            "error: witness vertex 9 out of range\n",
+        )
 
 
 class TestGenerateChain:

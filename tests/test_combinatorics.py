@@ -11,10 +11,10 @@ from motifkit.combinatorics import (
     iter_labeled_trees,
     iter_ordered_partitions,
     iter_set_partitions,
-    iter_subsets,
     max_matching_with_cover,
 )
 from motifkit.core import InputError
+from oracles import iter_subsets
 
 
 def stirling2(n, k):

@@ -18,6 +18,7 @@ from motifkit.core import (
     prune_wrong_colors,
     restrict,
     verify_solution,
+    witness_failure,
 )
 from motifkit.generators import X3cInstance, gen_x3c_paths
 
@@ -118,6 +119,35 @@ class TestVerifySolution:
             head = cert[f"set:{rejected}:short"]
             witness.update((head, head + 1))
         assert verify_solution(inst, witness)
+
+
+class TestWitnessFailure:
+    # Path 0-1-2 colored 0, 1, 0 with motif {0, 1}.
+    INST = Instance(Graph(3, [(0, 1), (1, 2)]), (0, 1, 0), Motif({0: 1, 1: 1}))
+
+    @pytest.mark.parametrize(
+        "witness, reason",
+        [
+            ([0, 1], None),
+            ([1, 2], None),
+            ([0, 2], "multiset"),  # wrong colors
+            ([0, 1, 1], "multiset"),  # repeated vertex
+            ([], "multiset"),
+            ([0, 1, 2], "multiset"),
+        ],
+    )
+    def test_reason(self, witness, reason):
+        assert witness_failure(self.INST, witness) == reason
+        assert verify_solution(self.INST, witness) == (reason is None)
+
+    def test_disconnected(self):
+        inst = Instance(Graph(3, [(0, 1)]), (0, 1, 1), Motif({0: 1, 1: 1}))
+        assert witness_failure(inst, [0, 2]) == "connectivity"
+        assert not verify_solution(inst, [0, 2])
+
+    def test_out_of_range_raises(self):
+        with pytest.raises(InputError, match="witness vertex 3 out of range"):
+            witness_failure(self.INST, [0, 3])
 
 
 class TestConnectedComponents:

@@ -14,11 +14,11 @@ from motifkit.estimators import (
     dist_to_co_cluster_set,
     greedy_vertex_clique_cover,
     is_co_cluster,
-    max_leaf_oracle,
     min_vertex_cover,
     param_report,
     validate_clique_cover,
 )
+from oracles import max_leaf_oracle
 
 
 def graphs(max_n=8):

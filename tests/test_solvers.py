@@ -22,14 +22,12 @@ from motifkit.core import (
 )
 from motifkit.estimators import degree3_decomposition, greedy_vertex_clique_cover
 from motifkit.solvers import (
-    StarWordProblem,
     solve_brute,
     solve_co_cluster,
     solve_dist_clique,
     solve_edge_clique_cover,
     solve_max_leaf_xp,
     solve_on_path,
-    solve_star_words,
     solve_vertex_clique_cover,
     solve_vertex_cover,
 )
@@ -169,58 +167,6 @@ class TestSolveOnPath:
         assert solve_on_path(word, motif) == quadratic_path_oracle(word, motif)
 
 
-def exhaustive_star_words(problem):
-    words = problem.words
-    target = problem.target.as_counter()
-
-    def rec(i, counts):
-        if i == len(words):
-            return [] if counts == target else None
-        for take in range(len(words[i]) + 1):
-            c = counts + Counter(words[i][:take])
-            if all(c[k] <= target[k] for k in c):
-                rest = rec(i + 1, c)
-                if rest is not None:
-                    return [take] + rest
-        return None
-
-    return rec(0, Counter())
-
-
-class TestStarWords:
-    def test_simple_split(self):
-        problem = StarWordProblem(Motif({0: 2, 1: 1}), ((0, 1), (0, 0)))
-        lens = solve_star_words(problem)
-        counts = Counter()
-        for word, take in zip(problem.words, lens):
-            counts.update(word[:take])
-        assert counts == Counter({0: 2, 1: 1})
-
-    def test_infeasible(self):
-        problem = StarWordProblem(Motif({5: 1}), ((0, 1), (2,)))
-        assert solve_star_words(problem) is None
-
-    @given(
-        st.lists(
-            st.lists(st.integers(0, 2), max_size=4), min_size=1, max_size=4
-        ),
-        st.lists(st.integers(0, 2), min_size=1, max_size=5),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_matches_exhaustive(self, words, motif_colors):
-        problem = StarWordProblem(
-            Motif(dict(Counter(motif_colors))), tuple(tuple(w) for w in words)
-        )
-        got = solve_star_words(problem)
-        expected = exhaustive_star_words(problem)
-        assert (got is None) == (expected is None)
-        if got is not None:
-            counts = Counter()
-            for word, take in zip(problem.words, got):
-                counts.update(word[:take])
-            assert counts == problem.target.as_counter()
-
-
 class TestSuppliedStructures:
     def test_dist_clique_with_explicit_set(self):
         # K4 plus a pendant: {4} is a valid deletion set.
@@ -283,12 +229,14 @@ def test_dispatch_rejects_bad_witness_under_optimize():
 
 
 def ref_iter_guesses(inst, candidates):
-    """`iter_guesses` as every `combinations` subset filtered by `contains`."""
+    """`iter_guesses` as every `combinations` subset filtered by `contains`,
+    each with its leftover from `minus`."""
     motif = inst.motif
     for size in range(1, min(len(candidates), motif.total) + 1):
         for guess in combinations(candidates, size):
-            if motif.contains(inst.coloring[v] for v in guess):
-                yield guess
+            colors = [inst.coloring[v] for v in guess]
+            if motif.contains(colors):
+                yield guess, motif.minus(colors)
 
 
 class TestIterGuesses:
@@ -300,9 +248,10 @@ class TestIterGuesses:
         motif_colors = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=7))
         candidates = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
         inst = Instance(Graph(n), coloring, Motif(dict(Counter(motif_colors))))
-        assert list(iter_guesses(inst, candidates)) == list(
-            ref_iter_guesses(inst, candidates)
-        )
+        got = list(iter_guesses(inst, candidates))
+        assert got == list(ref_iter_guesses(inst, candidates))
+        # Each leftover is a Counter of its own, safe for the caller to keep.
+        assert len({id(left) for _, left in got}) == len(got)
 
 
 def ref_solve_cycle(inst):
@@ -343,9 +292,10 @@ class TestSolveCycle:
         assert max_leaf._solve_cycle(inst) == ref_solve_cycle(inst)
 
 
-def ref_try_trace(inst, t_set, paths):
+def ref_try_trace(inst, t_set, _remaining, paths):
     """`max_leaf._try_trace` with a list of chosen vertices per state and no
-    supply bound: the DP the back-pointer version must reproduce."""
+    supply bound: the DP the back-pointer version must reproduce.  It counts
+    its own leftover; `_remaining` is ignored."""
     g = inst.graph
     remaining = inst.motif.minus(inst.coloring[v] for v in t_set)
     comps = connected_components(g, t_set)
@@ -421,12 +371,12 @@ class TestMaxLeafDP:
     def check_against_reference(self, inst):
         s, paths = degree3_decomposition(inst.graph)
         comp_counts = set()
-        for t in iter_guesses(inst, sorted(s)):
+        for t, remaining in iter_guesses(inst, sorted(s)):
             comp_counts.add(len(connected_components(inst.graph, t)))
             t_set = set(t)
-            assert max_leaf._try_trace(inst, t_set, paths) == ref_try_trace(
-                inst, t_set, paths
-            ), t
+            assert max_leaf._try_trace(
+                inst, t_set, remaining, paths
+            ) == ref_try_trace(inst, t_set, remaining, paths), t
         with mock.patch.object(max_leaf, "_try_trace", ref_try_trace):
             expected = solve_max_leaf_xp(inst)
         got = solve_max_leaf_xp(inst)
@@ -448,9 +398,12 @@ class TestMaxLeafDP:
         assert {0, 1, 2} < set(solve_max_leaf_xp(inst).witness)
 
 
-def ref_dist_clique_try_guess(inst, s_prime, clique, s_index, nbr_mask, _supply):
-    """`dist_clique._try_guess` without the clique supply check (`_supply` is
-    ignored): every guess runs the cover and the completion."""
+def ref_dist_clique_try_guess(
+    inst, s_prime, _remaining, clique, s_index, nbr_mask, _supply
+):
+    """`dist_clique._try_guess` without the clique supply check: every guess
+    runs the cover and the completion.  It counts its own leftover;
+    `_remaining` and `_supply` are ignored."""
     remaining = inst.motif.minus(inst.coloring[v] for v in s_prime)
     if not remaining:
         return try_witness(inst, s_prime)
