@@ -52,32 +52,43 @@ def restrict_family(
 
 
 def iter_guesses(
-    inst: Instance, candidates: Sequence[int]
+    inst: Instance, candidates: Sequence[int], supply: Counter
 ) -> Iterator[Tuple[Tuple[int, ...], Counter]]:
-    """Nonempty subsets of `candidates` whose colors fit in the motif.
+    """Nonempty subsets of `candidates` whose colors fit in the motif and
+    leave over no more of a color than `supply`, the most of it that the
+    vertices outside the candidates can add.
 
-    Each comes with a fresh `Counter` of the motif's colors it leaves over
-    (positive counts only).  Smallest first, each size in `combinations`
-    order.  A prefix that already overflows the motif is never extended, so
-    no rejected subset is built.
+    Each comes with a fresh `Counter` of the colors it leaves over (positive
+    counts only).  Smallest first, each size in `combinations` order.  A
+    prefix is never extended once it overflows the motif or must still take
+    more vertices than it has slots left, so no rejected subset is built.
     """
     colors = [inst.coloring[v] for v in candidates]
     left = dict(inst.motif.multiplicities)
+    # Vertices a guess must still take because `supply` falls short.
+    short = sum(max(0, m - supply[c]) for c, m in left.items())
     n = len(candidates)
     prefix: List[int] = []
 
     def extend(start: int, size: int) -> Iterator[Tuple[Tuple[int, ...], Counter]]:
+        nonlocal short
+        if short > size:
+            return
         if size == 0:
             yield tuple(prefix), Counter({c: m for c, m in left.items() if m})
             return
         for i in range(start, n - size + 1):
             c = colors[i]
-            if left.get(c, 0) > 0:
-                left[c] -= 1
+            m = left.get(c, 0)
+            if m > 0:
+                left[c] = m - 1
+                owed = m > supply[c]
+                short -= owed
                 prefix.append(candidates[i])
                 yield from extend(i + 1, size - 1)
                 prefix.pop()
-                left[c] += 1
+                short += owed
+                left[c] = m
 
     for size in range(1, min(n, inst.motif.total) + 1):
         yield from extend(0, size)
@@ -96,11 +107,6 @@ def pick_by_colors(
     if any(cnt > 0 for cnt in remaining.values()):
         return None
     return picks
-
-
-def counter_leq(a: Counter, b: Counter) -> bool:
-    """True iff every color count in `a` is at most its count in `b`."""
-    return all(b[c] >= cnt for c, cnt in a.items())
 
 
 def try_witness(inst: Instance, vertices: Iterable[int]) -> Optional[SolveOutcome]:

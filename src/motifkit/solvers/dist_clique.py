@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..core import Instance, SolveOutcome, connected_components
 from ..csct import CsctInstance, solve_csct
 from ..estimators import dist_to_clique_set
-from .common import counter_leq, dispatch_components, iter_guesses
+from .common import dispatch_components, iter_guesses
 from .common import pick_by_colors, try_witness
 
 
@@ -52,12 +52,11 @@ def _solve_connected(inst: Instance, s: Set[int]) -> SolveOutcome:
         for u in g.adjacency[v]:
             if u in s_index:
                 nbr_mask[v] |= 1 << s_index[u]
+    # The clique part has exactly the colors a guess leaves over.
     supply = Counter(inst.coloring[v] for v in clique)
 
-    for s_prime, remaining in iter_guesses(inst, s_list):
-        outcome = _try_guess(
-            inst, s_prime, remaining, clique, s_index, nbr_mask, supply
-        )
+    for s_prime, remaining in iter_guesses(inst, s_list, supply):
+        outcome = _try_guess(inst, s_prime, remaining, clique, s_index, nbr_mask)
         if outcome is not None:
             return outcome
     return SolveOutcome.no()
@@ -70,15 +69,10 @@ def _try_guess(
     clique: List[int],
     s_index: Dict[int, int],
     nbr_mask: List[int],
-    supply: Counter,
 ) -> Optional[SolveOutcome]:
     if not remaining:
         # S' would be the whole solution.
         return try_witness(inst, s_prime)
-    # The clique part has exactly the colors in `remaining`; once the cover
-    # succeeds, the completion exists iff the clique supplies all of them.
-    if not counter_leq(remaining, supply):
-        return None
 
     comps = connected_components(inst.graph, s_prime)
     comp_masks = [

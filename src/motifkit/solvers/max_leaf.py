@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import reduce
 from operator import or_
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core import Instance, SolveOutcome, connected_components
 from ..estimators import PathComponent, degree3_decomposition
@@ -46,11 +46,35 @@ def _solve_connected(inst: Instance) -> SolveOutcome:
             i, j = window
             return SolveOutcome.yes(path.vertices[i : j + 1])
 
-    for t, remaining in iter_guesses(inst, sorted(s)):
-        outcome = _try_trace(inst, set(t), remaining, paths)
-        if outcome is not None:
-            return outcome
+    # The paths, which hold every vertex outside S, supply a leftover.
+    supply = Counter(inst.coloring[v] for v in range(g.n) if v not in s)
+    fits = _attached_fit(inst, s, paths)
+    for t, remaining in iter_guesses(inst, sorted(s), supply):
+        if fits(t, remaining):
+            outcome = _try_trace(inst, set(t), remaining, paths)
+            if outcome is not None:
+                return outcome
     return SolveOutcome.no()
+
+
+def _attached_fit(
+    inst: Instance, s: Set[int], paths: List[PathComponent]
+) -> Callable[[Tuple[int, ...], Counter], bool]:
+    """Whether a trace's leftover fits in the colors of the paths with an end
+    attached to it, the only paths that can add a segment (inner path
+    vertices have no neighbors outside their path).  Counts each path once."""
+    path_colors = [Counter(inst.coloring[v] for v in p.vertices) for p in paths]
+    attached: Dict[int, Set[int]] = {v: set() for v in s}
+    for i, path in enumerate(paths):
+        for u in path.first_attach + path.last_attach:
+            attached[u].add(i)
+
+    def fits(t: Tuple[int, ...], remaining: Counter) -> bool:
+        # A list: unpacking a generator here fragments the heap (peak RSS grew).
+        near = set().union(*[attached[v] for v in t])
+        return all(sum(path_colors[i][c] for i in near) >= m for c, m in remaining.items())
+
+    return fits
 
 
 def _solve_cycle(inst: Instance) -> SolveOutcome:

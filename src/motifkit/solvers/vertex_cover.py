@@ -18,7 +18,7 @@ from ..combinatorics import (
     max_matching_with_cover,
 )
 from ..estimators import min_vertex_cover
-from .common import counter_leq, dispatch_components, iter_guesses
+from .common import dispatch_components, iter_guesses
 from .common import pick_by_colors, try_witness
 
 
@@ -50,7 +50,8 @@ def _solve_connected(inst: Instance, cover: Set[int]) -> SolveOutcome:
             if inst.coloring[v] == color:
                 return SolveOutcome.yes([v])
 
-    for s_prime, remaining in iter_guesses(inst, s_list):
+    supply = Counter(inst.coloring[v] for v in independent)
+    for s_prime, remaining in iter_guesses(inst, s_list, supply):
         outcome = _try_guess(inst, s_prime, remaining, independent)
         if outcome is not None:
             return outcome
@@ -75,7 +76,7 @@ def _try_guess(
         for v in independent
         if any(u in s_prime_set for u in g.adjacency[v])
     ]
-    if not counter_leq(remaining, Counter(inst.coloring[v] for v in avail)):
+    if remaining - Counter(inst.coloring[v] for v in avail):
         return None
 
     comps = [frozenset(c) for c in connected_components(g, s_prime)]

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import subprocess
 import sys
@@ -32,7 +33,8 @@ from motifkit.solvers import (
     solve_vertex_cover,
 )
 from motifkit.csct import CsctInstance, solve_csct
-from motifkit.solvers import dist_clique, max_leaf
+from motifkit.generators import SetSystem, gen_domset_reduction, gen_hitting_set_split
+from motifkit.solvers import dist_clique, max_leaf, vertex_cover
 from motifkit.solvers.common import iter_guesses, pick_by_colors, try_witness
 
 
@@ -239,19 +241,46 @@ def ref_iter_guesses(inst, candidates):
                 yield guess, motif.minus(colors)
 
 
+@st.composite
+def guess_cases(draw):
+    """An edgeless instance and a sequence of distinct candidate vertices."""
+    n = draw(st.integers(1, 10))
+    coloring = tuple(draw(st.integers(0, 3)) for _ in range(n))
+    motif_colors = draw(st.lists(st.integers(0, 4), min_size=1, max_size=7))
+    candidates = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    return Instance(Graph(n), coloring, Motif(dict(Counter(motif_colors)))), candidates
+
+
 class TestIterGuesses:
-    @given(st.data())
+    @given(guess_cases())
     @settings(max_examples=300, deadline=None)
-    def test_matches_filtered_combinations(self, data):
-        n = data.draw(st.integers(1, 10))
-        coloring = tuple(data.draw(st.integers(0, 3)) for _ in range(n))
-        motif_colors = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=7))
-        candidates = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
-        inst = Instance(Graph(n), coloring, Motif(dict(Counter(motif_colors))))
-        got = list(iter_guesses(inst, candidates))
+    def test_matches_filtered_combinations(self, case):
+        inst, candidates = case
+        # The motif itself as supply sets no floor: every fitting subset.
+        got = list(iter_guesses(inst, candidates, inst.motif.as_counter()))
         assert got == list(ref_iter_guesses(inst, candidates))
         # Each leftover is a Counter of its own, safe for the caller to keep.
         assert len({id(left) for _, left in got}) == len(got)
+
+    @given(guess_cases(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_leftover_within_supply(self, case, data):
+        inst, candidates = case
+        supply = data.draw(
+            st.one_of(
+                st.just(Counter()),
+                st.just(inst.motif.as_counter()),
+                st.dictionaries(st.integers(0, 4), st.integers(0, 3)).map(Counter),
+            )
+        )
+        before = dict(supply)
+        got = list(iter_guesses(inst, candidates, supply))
+        assert got == [
+            (guess, left)
+            for guess, left in ref_iter_guesses(inst, candidates)
+            if all(supply[c] >= m for c, m in left.items())
+        ]
+        assert dict(supply) == before
 
 
 def ref_solve_cycle(inst):
@@ -367,17 +396,42 @@ def branching_instances(draw, max_n=12):
     return Instance(g, coloring, Motif(dict(motif)))
 
 
+def unbounded_guesses(inst, candidates, _supply):
+    """`iter_guesses` with no supply floor: every subset that fits the motif."""
+    return iter_guesses(inst, candidates, inst.motif.as_counter())
+
+
+def fits_every_trace(inst, s, paths):
+    """`max_leaf._attached_fit` that lets every trace through."""
+    return lambda t, remaining: True
+
+
+@contextlib.contextmanager
+def no_supply_bounds(module):
+    """`module`'s solver tries every guess that fits the motif."""
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(module, "iter_guesses", unbounded_guesses))
+        if module is max_leaf:
+            stack.enter_context(
+                mock.patch.object(max_leaf, "_attached_fit", fits_every_trace)
+            )
+        yield
+
+
 class TestMaxLeafDP:
     def check_against_reference(self, inst):
         s, paths = degree3_decomposition(inst.graph)
         comp_counts = set()
-        for t, remaining in iter_guesses(inst, sorted(s)):
+        for t, remaining in iter_guesses(inst, sorted(s), inst.motif.as_counter()):
             comp_counts.add(len(connected_components(inst.graph, t)))
             t_set = set(t)
             assert max_leaf._try_trace(
                 inst, t_set, remaining, paths
             ) == ref_try_trace(inst, t_set, remaining, paths), t
-        with mock.patch.object(max_leaf, "_try_trace", ref_try_trace):
+        # The reference DP on every guess, none dropped by a supply bound.
+        with no_supply_bounds(max_leaf), mock.patch.object(
+            max_leaf, "_try_trace", ref_try_trace
+        ):
             expected = solve_max_leaf_xp(inst)
         got = solve_max_leaf_xp(inst)
         assert got == expected
@@ -389,6 +443,17 @@ class TestMaxLeafDP:
     def test_same_witness_as_list_dp(self, inst):
         self.check_against_reference(inst)
 
+    @given(branching_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_attached_check_skips_only_failing_traces(self, inst):
+        s, paths = degree3_decomposition(inst.graph)
+        fits = max_leaf._attached_fit(inst, s, paths)
+        for t, remaining in iter_guesses(inst, sorted(s), inst.motif.as_counter()):
+            if not fits(t, remaining):
+                t_set = set(t)
+                assert max_leaf._try_trace(inst, t_set, remaining, paths) is None, t
+                assert ref_try_trace(inst, t_set, remaining, paths) is None, t
+
     def test_trace_components_merge_along_a_path(self):
         # Two stars (centres 0 and 1) joined through vertex 2: the trace
         # {0, 1} has two components, which only the path 0-2-1 connects.
@@ -398,12 +463,10 @@ class TestMaxLeafDP:
         assert {0, 1, 2} < set(solve_max_leaf_xp(inst).witness)
 
 
-def ref_dist_clique_try_guess(
-    inst, s_prime, _remaining, clique, s_index, nbr_mask, _supply
-):
-    """`dist_clique._try_guess` without the clique supply check: every guess
-    runs the cover and the completion.  It counts its own leftover;
-    `_remaining` and `_supply` are ignored."""
+def ref_dist_clique_try_guess(inst, s_prime, _remaining, clique, s_index, nbr_mask):
+    """`dist_clique._try_guess` as a reference: the cover and the completion,
+    with its own leftover count; `_remaining` is ignored.  Run on unbounded
+    guesses, it tries every guess with no clique supply check."""
     remaining = inst.motif.minus(inst.coloring[v] for v in s_prime)
     if not remaining:
         return try_witness(inst, s_prime)
@@ -459,7 +522,9 @@ class TestDistCliqueSupply:
     @settings(max_examples=200, deadline=None)
     def test_same_outcome_as_unchecked_guesses(self, case):
         inst, s = case
-        with mock.patch.object(dist_clique, "_try_guess", ref_dist_clique_try_guess):
+        with no_supply_bounds(dist_clique), mock.patch.object(
+            dist_clique, "_try_guess", ref_dist_clique_try_guess
+        ):
             expected = dist_clique._solve_connected(inst, s)
         got = dist_clique._solve_connected(inst, s)
         assert got == expected
@@ -473,6 +538,60 @@ class TestDistCliqueSupply:
         with mock.patch.object(dist_clique, "solve_csct", wraps=solve_csct) as csct:
             assert not solve_dist_clique(inst, deletion_set={3, 4})
         assert csct.call_count == 0
+
+
+def count_guesses(module, kernel, solve):
+    """Whether `solve()` says YES, how many guesses `module` enumerates on the
+    way, and how many calls it makes to its inner `kernel`."""
+    enumerate_guesses = module.iter_guesses
+    guesses = 0
+
+    def counting(*args):
+        nonlocal guesses
+        for guess in enumerate_guesses(*args):
+            guesses += 1
+            yield guess
+
+    with mock.patch.object(module, "iter_guesses", counting), mock.patch.object(
+        module, kernel, wraps=getattr(module, kernel)
+    ) as calls:
+        is_yes = solve().is_yes
+    return is_yes, guesses, calls.call_count
+
+
+# A NO instance per solver from the generators, so that every guess is
+# tried: (module, kernel, solve, counts, counts without the supply bounds).
+DOMSET_CLUSTER_P4 = gen_domset_reduction(Graph(4, [(0, 1), (1, 2), (2, 3)]), 1, "cluster")
+DOMSET_CLUSTER_TREE = gen_domset_reduction(
+    Graph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)]), 1, "cluster"
+)
+HITTING_SET = gen_hitting_set_split(
+    SetSystem(6, ((0, 1, 2, 5), (0, 5), (0, 2), (0, 1, 3), (0, 1, 3, 5), (1, 3, 5)), 1)
+)
+PINNED_COUNTS = {
+    "dist-clique": (
+        dist_clique, "solve_csct", lambda: solve_dist_clique(HITTING_SET.instance),
+        (False, 1, 1), (False, 63, 63),
+    ),
+    "vc": (
+        vertex_cover, "max_matching_with_cover",
+        lambda: solve_vertex_cover(DOMSET_CLUSTER_P4.instance),
+        (False, 180, 19), (False, 296, 19),
+    ),
+    "maxleaf": (
+        max_leaf, "_try_trace", lambda: solve_max_leaf_xp(DOMSET_CLUSTER_TREE.instance),
+        (False, 3024, 348), (False, 4175, 4175),
+    ),
+}
+
+
+class TestGuessCounts:
+    @pytest.mark.parametrize("solver", sorted(PINNED_COUNTS))
+    def test_pinned_counts(self, solver):
+        module, kernel, solve, bounded, unbounded = PINNED_COUNTS[solver]
+        assert count_guesses(module, kernel, solve) == bounded
+        with no_supply_bounds(module):
+            assert count_guesses(module, kernel, solve) == unbounded
 
 
 X3C_Q5_SCRIPT = """
