@@ -13,7 +13,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .core import (
     CapacityError,
@@ -28,10 +28,12 @@ from .core import (
     witness_failure,
 )
 from .estimators import (
+    degree3_decomposition,
     dist_to_clique_set,
     dist_to_co_cluster_set,
+    greedy_vertex_clique_cover,
     min_vertex_cover,
-    param_report,
+    validate_clique_cover,
 )
 from .generators import (
     GeneratedInstance,
@@ -88,81 +90,84 @@ def _parse_cover_file(text: str) -> List[List[int]]:
     return cover
 
 
-Covers = Optional[List[List[int]]]
+Cover = List[List[int]]
+
+# The clique-cover parameters, by the solver that takes each; the option that
+# supplies the cover has the parameter's name.
+COVERS = {"vcc": "vertex-clique-cover", "ecc": "edge-clique-cover"}
 
 
-def _read_covers(args: argparse.Namespace) -> List[Covers]:
-    """The vertex and edge clique-cover files given on the command line."""
-    return [
-        _parse_cover_file(_read_text(path)) if path else None
-        for path in (args.vertex_clique_cover, args.edge_clique_cover)
-    ]
+def _read_covers(args: argparse.Namespace) -> Dict[str, Cover]:
+    """The clique covers given on the command line, by solver."""
+    paths = {"vcc": args.vertex_clique_cover, "ecc": args.edge_clique_cover}
+    return {algo: _parse_cover_file(_read_text(p)) for algo, p in paths.items() if p}
 
 
-def _supplied(cover: Covers, algo: str, flag: str) -> List[List[int]]:
-    if cover is None:
-        raise InputError(f"--algo {algo} needs {flag}")
-    return cover
+# What a solver is handed: a deletion set, a clique cover, or None.
+Structure = Union[Set[int], Cover, None]
 
-
-# Every solver, called as solver(inst, vertex clique cover, edge clique cover).
-SOLVERS: Dict[str, Callable[[Instance, Covers, Covers], SolveOutcome]] = {
-    "brute": lambda inst, vcc, ecc: solve_brute(inst),
-    "dist-clique": lambda inst, vcc, ecc: solve_dist_clique(inst),
-    "vc": lambda inst, vcc, ecc: solve_vertex_cover(inst),
-    "ecc": lambda inst, vcc, ecc: solve_edge_clique_cover(
-        inst, _supplied(ecc, "ecc", "--edge-clique-cover")
-    ),
-    "vcc": lambda inst, vcc, ecc: solve_vertex_clique_cover(
-        inst, _supplied(vcc, "vcc", "--vertex-clique-cover")
-    ),
-    "cocluster": lambda inst, vcc, ecc: solve_co_cluster(inst),
-    "maxleaf": lambda inst, vcc, ecc: solve_max_leaf_xp(inst),
+# Every solver, called as solver(inst, structure).  Given None, the
+# dist-clique, vc and cocluster solvers find their own deletion set.
+SOLVERS: Dict[str, Callable[[Instance, Structure], SolveOutcome]] = {
+    "brute": lambda inst, structure: solve_brute(inst),
+    "dist-clique": lambda inst, structure: solve_dist_clique(inst, structure),
+    "vc": lambda inst, structure: solve_vertex_cover(inst, structure),
+    "ecc": lambda inst, structure: solve_edge_clique_cover(inst, structure),
+    "vcc": lambda inst, structure: solve_vertex_clique_cover(inst, structure),
+    "cocluster": lambda inst, structure: solve_co_cluster(inst, structure),
+    "maxleaf": lambda inst, structure: solve_max_leaf_xp(inst),
 }
 
+# The deletion-set parameters, as (solver, parameter, auto's probe cap,
+# estimate(graph, limit)); the order breaks auto's ties.  Solvers and
+# estimators are looked up by name at call time, so that wrappers bound to
+# those names (perfbench's traced run) see every call.
+DELETION_SETS = (
+    ("dist-clique", "distance-to-clique", 10,
+     lambda g, limit: dist_to_clique_set(g, limit)),
+    ("vc", "vertex-cover", 10,
+     lambda g, limit: min_vertex_cover(g, limit)),
+    ("cocluster", "distance-to-co-cluster", 7,
+     lambda g, limit: dist_to_co_cluster_set(g, limit)),
+)
 
-def _auto_pick(inst: Instance, vcc: Covers, ecc: Covers) -> Tuple[str, str, int]:
+
+def _auto_pick(
+    inst: Instance, covers: Dict[str, Cover]
+) -> Tuple[str, str, int, Structure]:
     """Choose the algorithm with the cheapest estimated parameter.
 
-    Returns (algorithm, parameter name, parameter value).  Ties go to the
-    earlier entry.  The brute solver is never a candidate.
+    Returns (algorithm, parameter name, parameter value, structure), where
+    the structure is the deletion set or cover the value counts, handed on
+    to the solver (None for maxleaf).  Ties go to the earlier entry.  The
+    brute solver is never a candidate.
     """
     g = inst.graph
     big = g.n + 1  # sentinel for "probe limit exceeded"
-
-    def probe(result) -> int:
-        return big if result is None else len(result)
-
-    candidates: List[Tuple[int, str, str]] = []
-    candidates.append(
-        (probe(dist_to_clique_set(g, limit=10)), "dist-clique", "distance-to-clique")
-    )
-    candidates.append((probe(min_vertex_cover(g, limit=10)), "vc", "vertex-cover"))
-    candidates.append(
-        (
-            probe(dist_to_co_cluster_set(g, limit=7)),
-            "cocluster",
-            "distance-to-co-cluster",
-        )
-    )
+    candidates: List[Tuple[int, str, str, Structure]] = []
+    for algo, param, cap, estimate in DELETION_SETS:
+        found = estimate(g, cap)
+        candidates.append((big if found is None else len(found), algo, param, found))
     degree3 = sum(1 for v in range(g.n) if g.degree(v) >= 3)
-    candidates.append((degree3, "maxleaf", "degree3-vertices"))
-    if vcc is not None:
-        candidates.append((len(vcc), "vcc", "vertex-clique-cover"))
-    if ecc is not None:
-        candidates.append((len(ecc), "ecc", "edge-clique-cover"))
-    value, algo, param = min(candidates, key=lambda c: c[0])
-    return algo, param, value
+    candidates.append((degree3, "maxleaf", "degree3-vertices", None))
+    for algo, cover in covers.items():
+        candidates.append((len(cover), algo, COVERS[algo], cover))
+    value, algo, param, structure = min(candidates, key=lambda c: c[0])
+    return algo, param, value, structure
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(_read_text(args.instance))
-    vcc, ecc = _read_covers(args)
+    covers = _read_covers(args)
     algo = args.algo
     if algo == "auto":
-        algo, param, value = _auto_pick(inst, vcc, ecc)
+        algo, param, value, structure = _auto_pick(inst, covers)
         print(f"auto: {algo} ({param} = {value})", file=sys.stderr)
-    outcome = SOLVERS[algo](inst, vcc, ecc)
+    elif algo in COVERS and algo not in covers:
+        raise InputError(f"--algo {algo} needs --{COVERS[algo]}")
+    else:
+        structure = covers.get(algo)
+    outcome = SOLVERS[algo](inst, structure)
     if outcome.is_yes:
         print("YES")
         print(format_witness(outcome.witness), end="")
@@ -348,21 +353,25 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_params(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise InputError(f"--limit must be at least 0, not {args.limit}")
     inst = parse_instance(_read_text(args.instance))
-    vcc, ecc = _read_covers(args)
-    report = param_report(inst.graph, vcc, ecc, limit=args.limit)
-
-    def show(result) -> str:
-        return f"> {args.limit}" if result is None else str(len(result))
-
-    print(f"vertex-cover {show(report.vertex_cover)}")
-    print(f"dist-to-clique {show(report.dist_to_clique)}")
-    print(f"dist-to-co-cluster {show(report.dist_to_co_cluster)}")
-    print(f"degree3-vertices {len(report.degree3_set)}")
-    paths = "-" if report.path_decomposition is None else len(report.path_decomposition)
+    covers = _read_covers(args)
+    g = inst.graph
+    # The vertex cover is listed first, ahead of the other deletion sets.
+    for _, param, _, estimate in sorted(DELETION_SETS, key=lambda p: p[0] != "vc"):
+        found = estimate(g, args.limit)
+        print(f"{param} {f'> {args.limit}' if found is None else len(found)}")
+    print(f"degree3-vertices {sum(1 for v in range(g.n) if g.degree(v) >= 3)}")
+    try:
+        paths = str(len(degree3_decomposition(g)[1]))
+    except InputError:
+        paths = "-"
     print(f"paths-outside-degree3-set {paths}")
-    for kind, valid in sorted(report.supplied_cover_valid.items()):
-        print(f"supplied-{kind} {'valid' if valid else 'invalid'}")
+    for algo, mode in (("ecc", "edge-cover"), ("vcc", "vertex-partition")):
+        if algo in covers:
+            valid = validate_clique_cover(g, covers[algo], mode)
+            print(f"supplied-{mode} {'valid' if valid else 'invalid'}")
     return EXIT_YES
 
 
@@ -373,14 +382,12 @@ def cmd_params(args: argparse.Namespace) -> int:
 def _bench_cell(job: Tuple[str, str, float]) -> Tuple[str, str, str, float]:
     path, algo, timeout = job
     inst = parse_instance(Path(path).read_text())
-    vcc = ecc = None
+    structure: Structure = None
     if algo == "vcc":
-        from .estimators import greedy_vertex_clique_cover
-
-        vcc = greedy_vertex_clique_cover(inst.graph)
+        structure = greedy_vertex_clique_cover(inst.graph)
     if algo == "ecc":
         edges = inst.graph.edges()
-        ecc = [list(e) for e in edges] or [[v] for v in range(inst.graph.n)]
+        structure = [list(e) for e in edges] or [[v] for v in range(inst.graph.n)]
 
     def on_alarm(signum, frame):
         raise TimeoutError
@@ -389,7 +396,7 @@ def _bench_cell(job: Tuple[str, str, float]) -> Tuple[str, str, str, float]:
     signal.setitimer(signal.ITIMER_REAL, timeout)
     start = time.perf_counter()
     try:
-        outcome = SOLVERS[algo](inst, vcc, ecc)
+        outcome = SOLVERS[algo](inst, structure)
         answer = "YES" if outcome.is_yes else "NO"
     except TimeoutError:
         answer = "TO"
@@ -406,17 +413,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     paths = sorted(str(p) for p in directory.glob("*.gm"))
     algos = args.algo
     jobs = [(path, algo, args.timeout) for path in paths for algo in algos]
+    env_cap = os.environ.get("MOTIF_KIT_THREADS")
+    try:
+        thread_cap = int(env_cap) if env_cap else len(jobs)
+    except ValueError:
+        raise InputError(f"MOTIF_KIT_THREADS is not an integer: {env_cap!r}") from None
     results: Dict[Tuple[str, str], Tuple[str, float]] = {}
     if args.timeout <= 0:
         for path, algo, _ in jobs:
             results[(os.path.basename(path), algo)] = ("TO", 0.0)
     elif jobs:
-        env_cap = os.environ.get("MOTIF_KIT_THREADS")
-        workers = min(
-            len(jobs),
-            os.cpu_count() or 1,
-            int(env_cap) if env_cap else len(jobs),
-        )
+        workers = min(len(jobs), os.cpu_count() or 1, thread_cap)
         with ProcessPoolExecutor(max_workers=max(1, workers)) as pool:
             for name, algo, answer, seconds in pool.map(_bench_cell, jobs):
                 results[(name, algo)] = (answer, seconds)

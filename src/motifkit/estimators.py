@@ -3,7 +3,7 @@ decompositions and clique-cover validation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -240,52 +240,6 @@ def validate_clique_cover(g: Graph, cliques: Sequence[Sequence[int]], mode: str)
     for c in cliques:
         covered.update((min(u, v), max(u, v)) for u, v in combinations(c, 2))
     return set(g.edges()) <= covered
-
-
-@dataclass
-class ParamReport:
-    """Structural parameters of a graph, each with a witness set.
-
-    Deletion-set fields are None when a probe limit was given and the
-    parameter exceeds it.
-    """
-
-    vertex_cover: Optional[Set[int]]
-    dist_to_clique: Optional[Set[int]]
-    dist_to_co_cluster: Optional[Set[int]]
-    degree3_set: Set[int]
-    path_decomposition: Optional[List[PathComponent]]
-    supplied_cover_valid: Dict[str, bool] = field(default_factory=dict)
-
-
-def param_report(
-    g: Graph,
-    vertex_clique_cover: Optional[Sequence[Sequence[int]]] = None,
-    edge_clique_cover: Optional[Sequence[Sequence[int]]] = None,
-    limit: Optional[int] = None,
-) -> ParamReport:
-    degree3 = {v for v in range(g.n) if g.degree(v) >= 3}
-    paths: Optional[List[PathComponent]] = None
-    try:
-        _, paths = degree3_decomposition(g)
-    except InputError:
-        paths = None
-    report = ParamReport(
-        vertex_cover=min_vertex_cover(g, limit),
-        dist_to_clique=dist_to_clique_set(g, limit),
-        dist_to_co_cluster=dist_to_co_cluster_set(g, limit),
-        degree3_set=degree3,
-        path_decomposition=paths,
-    )
-    if vertex_clique_cover is not None:
-        report.supplied_cover_valid["vertex-partition"] = validate_clique_cover(
-            g, vertex_clique_cover, "vertex-partition"
-        )
-    if edge_clique_cover is not None:
-        report.supplied_cover_valid["edge-cover"] = validate_clique_cover(
-            g, edge_clique_cover, "edge-cover"
-        )
-    return report
 
 
 def greedy_vertex_clique_cover(g: Graph) -> List[List[int]]:

@@ -11,19 +11,22 @@ from typing import List, Optional, Set
 
 from ..core import Graph, Instance, Motif, SolveOutcome, connected_components, restrict
 from ..estimators import co_cluster_classes, dist_to_co_cluster_set
-from .common import dispatch_components, try_witness
+from .common import dispatch_deletion_set, try_witness
 from .dist_clique import _solve_connected as _solve_dc_connected
 from .vertex_cover import solve_vertex_cover
 
 
-def solve_co_cluster(inst: Instance) -> SolveOutcome:
-    """Exact answer via a computed distance-to-co-cluster deletion set."""
-    return dispatch_components(inst, lambda sub, _: _solve_connected(sub))
+def solve_co_cluster(
+    inst: Instance, deletion_set: Optional[Set[int]] = None
+) -> SolveOutcome:
+    """Exact answer; deletion_set (V minus a co-cluster) is computed if absent."""
+    return dispatch_deletion_set(
+        inst, _solve_connected, deletion_set, dist_to_co_cluster_set
+    )
 
 
-def _solve_connected(inst: Instance) -> SolveOutcome:
+def _solve_connected(inst: Instance, x: Set[int]) -> SolveOutcome:
     g = inst.graph
-    x = dist_to_co_cluster_set(g)
     rest = [v for v in range(g.n) if v not in x]
     classes = [
         [rest[i] for i in cls] for cls in co_cluster_classes(g.induced(rest)[0])

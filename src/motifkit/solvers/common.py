@@ -6,6 +6,7 @@ from collections import Counter
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core import (
+    Graph,
     Instance,
     SolveOutcome,
     connected_components,
@@ -40,6 +41,28 @@ def dispatch_components(
                 raise AssertionError(f"solver returned an invalid witness {witness}")
             return SolveOutcome.yes(witness)
     return SolveOutcome.no()
+
+
+def dispatch_deletion_set(
+    inst: Instance,
+    solve_connected: Callable[[Instance, Set[int]], SolveOutcome],
+    given: Optional[Set[int]],
+    estimate: Callable[[Graph], Set[int]],
+) -> SolveOutcome:
+    """`dispatch_components` for a solver that works from a deletion set.
+
+    Each component gets the trace of `given` (a deletion set of `inst`'s
+    graph) on it, or, with none given, the set `estimate` finds for it.  The
+    trace is a deletion set of the component: an induced subgraph of a
+    clique, an edgeless graph or a co-cluster is one again.
+    """
+
+    def run(sub: Instance, ids: List[int]) -> SolveOutcome:
+        if given is None:
+            return solve_connected(sub, estimate(sub.graph))
+        return solve_connected(sub, {i for i, v in enumerate(ids) if v in given})
+
+    return dispatch_components(inst, run)
 
 
 def restrict_family(

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..core import Instance, SolveOutcome, connected_components
 from ..csct import CsctInstance, solve_csct
 from ..estimators import dist_to_clique_set
-from .common import dispatch_components, iter_guesses
+from .common import dispatch_deletion_set, iter_guesses
 from .common import pick_by_colors, try_witness
 
 
@@ -21,15 +21,9 @@ def solve_dist_clique(
     inst: Instance, deletion_set: Optional[Set[int]] = None
 ) -> SolveOutcome:
     """Exact answer; deletion_set (V minus a clique) is computed if absent."""
-
-    def run(sub: Instance, ids: List[int]) -> SolveOutcome:
-        if deletion_set is None:
-            return _solve_connected(sub, dist_to_clique_set(sub.graph))
-        return _solve_connected(
-            sub, {i for i, v in enumerate(ids) if v in deletion_set}
-        )
-
-    return dispatch_components(inst, run)
+    return dispatch_deletion_set(
+        inst, _solve_connected, deletion_set, dist_to_clique_set
+    )
 
 
 def _solve_connected(inst: Instance, s: Set[int]) -> SolveOutcome:

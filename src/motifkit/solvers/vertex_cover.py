@@ -18,7 +18,7 @@ from ..combinatorics import (
     max_matching_with_cover,
 )
 from ..estimators import min_vertex_cover
-from .common import dispatch_components, iter_guesses
+from .common import dispatch_deletion_set, iter_guesses
 from .common import pick_by_colors, try_witness
 
 
@@ -26,13 +26,7 @@ def solve_vertex_cover(
     inst: Instance, cover: Optional[Set[int]] = None
 ) -> SolveOutcome:
     """Exact answer; a vertex cover is computed when not supplied."""
-
-    def run(sub: Instance, ids: List[int]) -> SolveOutcome:
-        if cover is None:
-            return _solve_connected(sub, min_vertex_cover(sub.graph))
-        return _solve_connected(sub, {i for i, v in enumerate(ids) if v in cover})
-
-    return dispatch_components(inst, run)
+    return dispatch_deletion_set(inst, _solve_connected, cover, min_vertex_cover)
 
 
 def _solve_connected(inst: Instance, cover: Set[int]) -> SolveOutcome:

@@ -1,5 +1,6 @@
 import pytest
 
+from motifkit import cli, estimators
 from motifkit.cli import (
     EXIT_CAPACITY,
     EXIT_NO,
@@ -13,6 +14,7 @@ from motifkit.cli import (
 )
 from motifkit.core import InputError, format_instance, verify_solution
 from motifkit.generators import SetSystem, gen_hitting_set_split
+from motifkit.solvers import dist_clique
 
 YES_TEXT = "p gm 3 2\ne 0 1\ne 1 2\nc 0 0\nc 1 1\nc 2 0\nm 0 1\nm 1 1\n"
 NO_TEXT = "p gm 2 0\nc 0 0\nc 1 1\nm 0 1\nm 1 1\n"
@@ -54,19 +56,41 @@ class TestSolve:
         main(["solve", yes_file])
         assert "auto:" in capsys.readouterr().err
 
-    def test_auto_picks_dist_clique_on_clique_plus_sets(self, tmp_path, capsys):
+    @staticmethod
+    def clique_hs(tmp_path):
         # Hitting-set split graph: a clique of 24 elements plus 8 independent
         # set vertices, each on 3 of the first 12 elements.  Distance to
         # clique is 8; the other probes exceed their caps.
         sets = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11),
                 (0, 3, 6), (1, 4, 9), (2, 7, 10), (5, 8, 11)]
         inst = gen_hitting_set_split(SetSystem(24, tuple(sets), 4)).instance
-        p = tmp_path / "clique-hs.gm"
-        p.write_text(format_instance(inst))
-        assert main(["solve", str(p)]) == EXIT_YES
+        (tmp_path / "clique-hs.gm").write_text(format_instance(inst))
+        return inst
+
+    def test_auto_picks_dist_clique_on_clique_plus_sets(self, tmp_path, capsys):
+        inst = self.clique_hs(tmp_path)
+        assert main(["solve", str(tmp_path / "clique-hs.gm")]) == EXIT_YES
         captured = capsys.readouterr()
         assert captured.err == "auto: dist-clique (distance-to-clique = 8)\n"
         witness = [int(v) for v in captured.out.splitlines()[1].split()]
+        assert verify_solution(inst, witness)
+
+    def test_auto_hands_its_deletion_set_to_the_solver(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The probe's set is the solver's set: one estimate, not two.
+        inst = self.clique_hs(tmp_path)
+        calls = []
+
+        def counted(g, limit=None):
+            calls.append(limit)
+            return estimators.dist_to_clique_set(g, limit)
+
+        monkeypatch.setattr(cli, "dist_to_clique_set", counted)
+        monkeypatch.setattr(dist_clique, "dist_to_clique_set", counted)
+        assert main(["solve", str(tmp_path / "clique-hs.gm")]) == EXIT_YES
+        assert calls == [10]
+        witness = [int(v) for v in capsys.readouterr().out.splitlines()[1].split()]
         assert verify_solution(inst, witness)
 
     @pytest.mark.parametrize("algo", ["ecc", "vcc"])
@@ -213,13 +237,37 @@ class TestParams:
         assert out["degree3-vertices"] == "0"
         assert out["paths-outside-degree3-set"] == "1"
 
+    def test_star_with_vertex_clique_cover(self, tmp_path, capsys):
+        text = "p gm 4 3\ne 0 1\ne 0 2\ne 0 3\n"
+        text += "".join(f"c {v} 0\n" for v in range(4)) + "m 0 1\n"
+        (tmp_path / "star.gm").write_text(text)
+        (tmp_path / "vcc.txt").write_text("0 1\n2\n3\n")
+        argv = ["params", str(tmp_path / "star.gm"),
+                "--vertex-clique-cover", str(tmp_path / "vcc.txt")]
+        assert main(argv) == EXIT_YES
+        assert capsys.readouterr().out.splitlines() == [
+            "vertex-cover 1",
+            "distance-to-clique 2",
+            "distance-to-co-cluster 0",
+            "degree3-vertices 1",
+            "paths-outside-degree3-set 3",
+            "supplied-vertex-partition valid",
+        ]
+
     def test_limit(self, tmp_path, capsys):
         lines = ["p gm 6 3", "e 0 1", "e 2 3", "e 4 5"]
         lines += [f"c {v} 0" for v in range(6)] + ["m 0 1"]
         p = tmp_path / "m.gm"
         p.write_text("\n".join(lines) + "\n")
-        assert main(["params", str(p), "--limit", "2"]) == EXIT_YES
-        assert "vertex-cover > 2" in capsys.readouterr().out
+        for limit in ("0", "1", "2"):
+            assert main(["params", str(p), "--limit", limit]) == EXIT_YES
+            assert f"vertex-cover > {limit}" in capsys.readouterr().out
+
+    def test_negative_limit_is_rejected(self, yes_file, capsys):
+        assert main(["params", yes_file, "--limit", "-1"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--limit" in captured.err
 
     def test_supplied_cover_validation(self, yes_file, tmp_path, capsys):
         cover = tmp_path / "c.txt"
@@ -248,6 +296,12 @@ class TestBench:
 
     def test_not_a_directory(self, tmp_path):
         assert main(["bench", str(tmp_path / "nope")]) == EXIT_PARSE
+
+    def test_bad_thread_cap(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "a.gm").write_text(YES_TEXT)
+        monkeypatch.setenv("MOTIF_KIT_THREADS", "abc")
+        assert main(["bench", str(tmp_path), "--timeout", "30"]) == EXIT_PARSE
+        assert "MOTIF_KIT_THREADS" in capsys.readouterr().err
 
     def test_unknown_algo(self, tmp_path):
         (tmp_path / "a.gm").write_text(YES_TEXT)

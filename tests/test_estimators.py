@@ -15,7 +15,6 @@ from motifkit.estimators import (
     greedy_vertex_clique_cover,
     is_co_cluster,
     min_vertex_cover,
-    param_report,
     validate_clique_cover,
 )
 from oracles import max_leaf_oracle
@@ -257,22 +256,6 @@ class TestMaxLeafOracle:
         if g.n < 2:
             return
         assert max_leaf_oracle(g) == spanning_tree_max_leaves(g)
-
-
-class TestParamReport:
-    def test_reports_witnesses(self):
-        g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        report = param_report(g, vertex_clique_cover=[[0, 1], [2], [3]])
-        assert report.vertex_cover == {0}
-        assert report.dist_to_clique is not None and len(report.dist_to_clique) == 2
-        assert report.degree3_set == {0}
-        assert report.path_decomposition is not None
-        assert report.supplied_cover_valid["vertex-partition"]
-
-    def test_limit_propagates(self):
-        g = Graph(6, [(0, 1), (2, 3), (4, 5)])
-        report = param_report(g, limit=1)
-        assert report.vertex_cover is None
 
 
 # Reference probes: the straightforward versions that re-induce the graph at

@@ -183,6 +183,16 @@ class TestSuppliedStructures:
         out = solve_vertex_cover(inst, cover={0})
         assert out.is_yes
 
+    def test_co_cluster_with_explicit_set(self):
+        # K2,2 on {0, 1} x {2, 3} plus 4 pendant at 0.  {3, 4} is a valid,
+        # not minimum, deletion set; the solution {0, 2, 4} meets it and
+        # both classes left.
+        g = Graph(5, [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4)])
+        inst = Instance(g, (0, 3, 1, 3, 2), Motif({0: 1, 1: 1, 2: 1}))
+        out = solve_co_cluster(inst, deletion_set={3, 4})
+        assert out.witness == (0, 2, 4)
+        assert verify_solution(inst, out.witness)
+
     def test_edge_cover_must_cover_all_edges(self):
         from motifkit.core import InputError
 
