@@ -263,6 +263,28 @@ class TestParams:
             assert main(["params", str(p), "--limit", limit]) == EXIT_YES
             assert f"vertex-cover > {limit}" in capsys.readouterr().out
 
+    def test_limit_propagates(self, tmp_path, capsys):
+        # Three disjoint edges: vertex cover 3, distance to clique 4 and
+        # distance to co-cluster 3, so limit 1 caps every deletion-set search.
+        lines = ["p gm 6 3", "e 0 1", "e 2 3", "e 4 5"]
+        lines += [f"c {v} 0" for v in range(6)] + ["m 0 1"]
+        p = tmp_path / "m.gm"
+        p.write_text("\n".join(lines) + "\n")
+        assert main(["params", str(p), "--limit", "1"]) == EXIT_YES
+        out = capsys.readouterr().out.splitlines()
+        assert out[:3] == [
+            "vertex-cover > 1",
+            "distance-to-clique > 1",
+            "distance-to-co-cluster > 1",
+        ]
+        assert main(["params", str(p)]) == EXIT_YES
+        out = capsys.readouterr().out.splitlines()
+        assert out[:3] == [
+            "vertex-cover 3",
+            "distance-to-clique 4",
+            "distance-to-co-cluster 3",
+        ]
+
     def test_negative_limit_is_rejected(self, yes_file, capsys):
         assert main(["params", yes_file, "--limit", "-1"]) == EXIT_PARSE
         captured = capsys.readouterr()
