@@ -187,164 +187,133 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # Source-file grammars for `generate`
 
 
-def _parse_records(text: str) -> List[List[str]]:
+def _read_records(
+    text: str, fields: Dict[str, Optional[int]], what: str, required: Sequence[str] = ()
+) -> List[Tuple[str, List[int]]]:
+    """(tag, integer fields) for every line of a source file, in order.
+
+    `fields` gives each tag's field count (None: any number); `#` starts a
+    comment.  Every tag in `required` must appear at least once.
+    """
     records = []
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            records.append(line.split())
+        rec = raw.split("#", 1)[0].split()
+        if not rec:
+            continue
+        tag = rec[0]
+        if tag not in fields:
+            raise InputError(f"unknown record {tag!r} in {what} source")
+        try:
+            values = [int(f) for f in rec[1:]]
+        except ValueError:
+            raise InputError(f"non-integer field in record {rec!r}") from None
+        if fields[tag] not in (None, len(values)):
+            raise InputError(
+                f"record {tag!r} takes {fields[tag]} fields, not {len(values)}"
+            )
+        records.append((tag, values))
+    tags = {tag for tag, _ in records}
+    if any(tag not in tags for tag in required):
+        names = " and ".join(repr(tag) for tag in required)
+        raise InputError(f"{what} source needs {names} lines")
     return records
-
-
-def _int_fields(rec: Sequence[str]) -> List[int]:
-    try:
-        return [int(f) for f in rec[1:]]
-    except ValueError:
-        raise InputError(f"non-integer field in record {rec!r}") from None
 
 
 def parse_x3c_sources(text: str) -> List[X3cInstance]:
     """`q <q>` starts an instance; `s <a> <b> <c>` adds a triple to it."""
-    out: List[X3cInstance] = []
-    q: Optional[int] = None
-    triples: List[Tuple[int, int, int]] = []
-
-    def flush() -> None:
-        if q is not None:
-            out.append(X3cInstance(q, tuple(triples)))
-
-    for rec in _parse_records(text):
-        if rec[0] == "q":
-            flush()
-            (q,) = _int_fields(rec)
-            triples = []
-        elif rec[0] == "s":
-            if q is None:
-                raise InputError("triple before any 'q' line")
-            a, b, c = _int_fields(rec)
-            triples.append((a, b, c))
+    sources: List[Tuple[int, List[Tuple[int, ...]]]] = []
+    for tag, values in _read_records(text, {"q": 1, "s": 3}, "exact-cover"):
+        if tag == "q":
+            sources.append((values[0], []))
+        elif not sources:
+            raise InputError("triple before any 'q' line")
         else:
-            raise InputError(f"unknown record {rec[0]!r} in exact-cover source")
-    flush()
-    if not out:
+            sources[-1][1].append(tuple(values))
+    if not sources:
         raise InputError("source defines no instance")
-    return out
+    return [X3cInstance(q, tuple(triples)) for q, triples in sources]
 
 
 def parse_set_system(text: str) -> SetSystem:
     """`n <n>`, `t <t>`, and one `s <e...>` line per set."""
-    n = budget = None
-    sets: List[Tuple[int, ...]] = []
-    for rec in _parse_records(text):
-        if rec[0] == "n":
-            (n,) = _int_fields(rec)
-        elif rec[0] == "t":
-            (budget,) = _int_fields(rec)
-        elif rec[0] == "s":
-            sets.append(tuple(_int_fields(rec)))
-        else:
-            raise InputError(f"unknown record {rec[0]!r} in set-system source")
-    if n is None or budget is None:
-        raise InputError("set-system source needs 'n' and 't' lines")
-    return SetSystem(n, tuple(sets), budget)
+    records = _read_records(
+        text, {"n": 1, "t": 1, "s": None}, "set-system", required=("n", "t")
+    )
+    last = dict(records)
+    sets = tuple(tuple(values) for tag, values in records if tag == "s")
+    return SetSystem(last["n"][0], sets, last["t"][0])
 
 
 def parse_graph_budget(text: str) -> Tuple[Graph, int]:
     """`n <n>`, `t <t>`, and `e <u> <v>` lines."""
-    n = budget = None
-    edges: List[Tuple[int, int]] = []
-    for rec in _parse_records(text):
-        if rec[0] == "n":
-            (n,) = _int_fields(rec)
-        elif rec[0] == "t":
-            (budget,) = _int_fields(rec)
-        elif rec[0] == "e":
-            u, v = _int_fields(rec)
-            edges.append((u, v))
-        else:
-            raise InputError(f"unknown record {rec[0]!r} in graph source")
-    if n is None or budget is None:
-        raise InputError("graph source needs 'n' and 't' lines")
-    return Graph(n, edges), budget
+    records = _read_records(
+        text, {"n": 1, "t": 1, "e": 2}, "graph", required=("n", "t")
+    )
+    last = dict(records)
+    edges = [tuple(values) for tag, values in records if tag == "e"]
+    return Graph(last["n"][0], edges), last["t"][0]
 
 
 def parse_partitioned_graph(text: str) -> PartitionedGraph:
     """`k <k>`, `t <t>`, `e <u> <v>`, optional `pattern <i> <j>` lines."""
-    k = t = None
-    edges: List[Tuple[int, int]] = []
-    pattern: List[Tuple[int, int]] = []
-    saw_pattern = False
-    for rec in _parse_records(text):
-        if rec[0] == "k":
-            (k,) = _int_fields(rec)
-        elif rec[0] == "t":
-            (t,) = _int_fields(rec)
-        elif rec[0] == "e":
-            u, v = _int_fields(rec)
-            edges.append((u, v))
-        elif rec[0] == "pattern":
-            i, j = _int_fields(rec)
-            pattern.append((i, j))
-            saw_pattern = True
-        else:
-            raise InputError(f"unknown record {rec[0]!r} in partitioned source")
-    if k is None or t is None:
-        raise InputError("partitioned source needs 'k' and 't' lines")
+    records = _read_records(
+        text, {"k": 1, "t": 1, "e": 2, "pattern": 2}, "partitioned", required=("k", "t")
+    )
+    last = dict(records)
+    edges = tuple(tuple(values) for tag, values in records if tag == "e")
+    pattern = frozenset(tuple(values) for tag, values in records if tag == "pattern")
     return PartitionedGraph(
-        k, t, tuple(edges), frozenset(pattern) if saw_pattern else None
+        last["k"][0], last["t"][0], edges, pattern if "pattern" in last else None
     )
 
 
-REDUCTIONS = (
-    "x3c-paths",
-    "x3c-comb",
-    "x3c-superstar",
-    "domset-gadget",
-    "domset",
-    "hitting-set",
-    "set-cover",
-    "mcc-star",
-    "or-composition",
-)
+def _one_x3c(text: str, args: argparse.Namespace) -> X3cInstance:
+    sources = parse_x3c_sources(text)
+    if len(sources) != 1:
+        raise InputError(f"{args.reduction} takes exactly one source instance")
+    return sources[0]
 
 
-def _generate(args: argparse.Namespace) -> GeneratedInstance:
-    text = _read_text(args.source)
-    name = args.reduction
-    if name in ("x3c-paths", "x3c-comb", "x3c-superstar"):
-        sources = parse_x3c_sources(text)
-        if len(sources) != 1:
-            raise InputError(f"{name} takes exactly one source instance")
-        gen = {
-            "x3c-paths": gen_x3c_paths,
-            "x3c-comb": gen_x3c_comb,
-            "x3c-superstar": gen_x3c_superstar_cliques,
-        }[name]
-        return gen(sources[0])
-    if name == "or-composition":
-        return gen_or_composition(parse_x3c_sources(text), colorful=args.colorful)
-    if name == "domset-gadget":
-        if args.root is None:
-            raise InputError("domset-gadget needs --root")
-        return gen_domset_gadget(parse_instance(text), args.root)
-    if name == "domset":
-        h, budget = parse_graph_budget(text)
-        return gen_domset_reduction(h, budget, args.variant)
-    if name == "hitting-set":
-        return gen_hitting_set_split(parse_set_system(text))
-    if name == "set-cover":
-        return gen_set_cover_split(parse_set_system(text))
-    if name == "mcc-star":
-        return gen_mcc_star(parse_partitioned_graph(text))
-    raise InputError(f"unknown reduction {name!r}")
+def _domset_gadget(text: str, args: argparse.Namespace) -> GeneratedInstance:
+    if args.root is None:
+        raise InputError("domset-gadget needs --root")
+    return gen_domset_gadget(parse_instance(text), args.root)
+
+
+# Every reduction `generate` offers, called with the source file's text and
+# the parsed command line.
+REDUCTIONS: Dict[str, Callable[[str, argparse.Namespace], GeneratedInstance]] = {
+    "x3c-paths": lambda text, args: gen_x3c_paths(_one_x3c(text, args)),
+    "x3c-comb": lambda text, args: gen_x3c_comb(_one_x3c(text, args)),
+    "x3c-superstar": lambda text, args: gen_x3c_superstar_cliques(
+        _one_x3c(text, args)
+    ),
+    "domset-gadget": _domset_gadget,
+    "domset": lambda text, args: gen_domset_reduction(
+        *parse_graph_budget(text), args.variant
+    ),
+    "hitting-set": lambda text, args: gen_hitting_set_split(parse_set_system(text)),
+    "set-cover": lambda text, args: gen_set_cover_split(parse_set_system(text)),
+    "mcc-star": lambda text, args: gen_mcc_star(parse_partitioned_graph(text)),
+    "or-composition": lambda text, args: gen_or_composition(
+        parse_x3c_sources(text), colorful=args.colorful
+    ),
+}
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    generated = _generate(args)
+    generated = REDUCTIONS[args.reduction](_read_text(args.source), args)
     comment = f"generated by reduction {args.reduction}"
-    Path(args.output).write_text(format_instance(generated.instance, comment))
+    _write_text(args.output, format_instance(generated.instance, comment))
     cert_path = args.certificate or args.output + ".cert"
-    Path(cert_path).write_text(format_certificate(generated))
+    _write_text(cert_path, format_certificate(generated))
     for warning in generated.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     g = generated.instance.graph
@@ -400,6 +369,8 @@ def _bench_cell(job: Tuple[str, str, float]) -> Tuple[str, str, str, float]:
         answer = "YES" if outcome.is_yes else "NO"
     except TimeoutError:
         answer = "TO"
+    except CapacityError:
+        answer = "CAP"
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
@@ -413,18 +384,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     paths = sorted(str(p) for p in directory.glob("*.gm"))
     algos = args.algo
     jobs = [(path, algo, args.timeout) for path in paths for algo in algos]
-    env_cap = os.environ.get("MOTIF_KIT_THREADS")
-    try:
-        thread_cap = int(env_cap) if env_cap else len(jobs)
-    except ValueError:
-        raise InputError(f"MOTIF_KIT_THREADS is not an integer: {env_cap!r}") from None
     results: Dict[Tuple[str, str], Tuple[str, float]] = {}
     if args.timeout <= 0:
         for path, algo, _ in jobs:
             results[(os.path.basename(path), algo)] = ("TO", 0.0)
     elif jobs:
-        workers = min(len(jobs), os.cpu_count() or 1, thread_cap)
-        with ProcessPoolExecutor(max_workers=max(1, workers)) as pool:
+        workers = min(len(jobs), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for name, algo, answer, seconds in pool.map(_bench_cell, jobs):
                 results[(name, algo)] = (answer, seconds)
 
@@ -435,7 +401,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         answers = {
             results[(name, algo)][0]
             for algo in algos
-            if results[(name, algo)][0] != "TO"
+            if results[(name, algo)][0] not in ("TO", "CAP")
         }
         status = "agree" if len(answers) <= 1 else "differ"
         if status == "differ":

@@ -9,9 +9,10 @@ structural parameters that are re-checked at generation time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .core import Graph, InputError, Instance, Motif, connected_components
 
@@ -186,12 +187,54 @@ def format_certificate(generated: GeneratedInstance) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Structural-claim helpers
+# Construction and structural-claim helpers
+
+
+class _Builder:
+    """The coloring, edge list and certificate of an instance being built.
+
+    Vertex ids are handed out in creation order, so a generator fixes its
+    numbering by the order in which it creates vertices.
+    """
+
+    def __init__(self) -> None:
+        self.coloring: List[int] = []
+        self.edges: List[Tuple[int, int]] = []
+        self.certificate: Dict[str, int] = {}
+
+    def vertex(self, color: int) -> int:
+        self.coloring.append(color)
+        return len(self.coloring) - 1
+
+    def path(self, start: Optional[int], colors: Iterable[int]) -> List[int]:
+        """New vertices of these colors, chained one to the next from start
+        (no edge in front of the first if start is None); their ids."""
+        ids = []
+        for color in colors:
+            v = self.vertex(color)
+            if start is not None:
+                self.edges.append((start, v))
+            ids.append(v)
+            start = v
+        return ids
+
+    def clique(self, colors: Iterable[int]) -> List[int]:
+        ids = [self.vertex(color) for color in colors]
+        self.edges.extend(combinations(ids, 2))
+        return ids
+
+    def instance(self, mults: Dict[int, int]) -> Instance:
+        graph = Graph(len(self.coloring), self.edges)
+        return Instance(graph, tuple(self.coloring), Motif(mults))
 
 
 def _check(condition: bool, claim: str) -> None:
     if not condition:
         raise RuntimeError(f"structural claim failed at generation time: {claim}")
+
+
+def _independent(g: Graph, vertices: Sequence[int]) -> bool:
+    return not any(g.has_edge(u, v) for u, v in combinations(vertices, 2))
 
 
 def _is_path_component(g: Graph, comp: Sequence[int]) -> bool:
@@ -210,6 +253,22 @@ def _components_after_removal(g: Graph, removed: int) -> List[List[int]]:
 # Exact cover constructions
 
 
+def _teeth(
+    b: _Builder, x3c: X3cInstance, i: int, long_from: int, short_from: int
+) -> Tuple[List[int], List[int]]:
+    """Set i's long tooth (head, its three elements, tail) hung from
+    long_from, then its short tooth (head, tail) hung from short_from.
+
+    Heads take color i and tails color m + i; element e takes 2m + e.
+    """
+    m = len(x3c.triples)
+    long = b.path(long_from, [i, *(2 * m + e for e in x3c.triples[i]), m + i])
+    short = b.path(short_from, [i, m + i])
+    b.certificate[f"set:{i}:long"] = long[0]
+    b.certificate[f"set:{i}:short"] = short[0]
+    return long, short
+
+
 def gen_x3c_paths(x3c: X3cInstance) -> GeneratedInstance:
     """Root with a long and a short path per set; colorful motif.
 
@@ -218,37 +277,15 @@ def gen_x3c_paths(x3c: X3cInstance) -> GeneratedInstance:
     set's head and tail colors, so exactly the exact covers survive.
     """
     m = len(x3c.triples)
-    q = x3c.q
     if m == 0:
         raise InputError("need at least one triple")
-    root_color = 2 * m + 3 * q
-    edges: List[Tuple[int, int]] = []
-    coloring: List[int] = [root_color]
-    certificate: Dict[str, int] = {"root": 0}
-
-    def add_vertex(color: int) -> int:
-        coloring.append(color)
-        return len(coloring) - 1
-
-    for i, triple in enumerate(x3c.triples):
-        head1 = add_vertex(i)
-        edges.append((0, head1))
-        prev = head1
-        for e in triple:
-            ev = add_vertex(2 * m + e)
-            edges.append((prev, ev))
-            prev = ev
-        tail1 = add_vertex(m + i)
-        edges.append((prev, tail1))
-        head2 = add_vertex(i)
-        tail2 = add_vertex(m + i)
-        edges.extend([(0, head2), (head2, tail2)])
-        certificate[f"set:{i}:long"] = head1
-        certificate[f"set:{i}:short"] = head2
-
-    graph = Graph(len(coloring), edges)
-    motif = Motif({c: 1 for c in range(root_color + 1)})
-    inst = Instance(graph, tuple(coloring), motif)
+    root_color = 2 * m + 3 * x3c.q
+    b = _Builder()
+    b.certificate["root"] = b.vertex(root_color)
+    for i in range(m):
+        _teeth(b, x3c, i, 0, 0)
+    inst = b.instance({c: 1 for c in range(root_color + 1)})
+    graph = inst.graph
 
     comps = _components_after_removal(graph, 0)
     _check(len(comps) == 2 * m, "root removal leaves two paths per set")
@@ -261,7 +298,7 @@ def gen_x3c_paths(x3c: X3cInstance) -> GeneratedInstance:
         "paths-after-root-removal": 2 * m,
         "colors": root_color + 1,
     }
-    return GeneratedInstance(inst, certificate, claims)
+    return GeneratedInstance(inst, b.certificate, claims)
 
 
 def gen_x3c_comb(x3c: X3cInstance) -> GeneratedInstance:
@@ -272,69 +309,30 @@ def gen_x3c_comb(x3c: X3cInstance) -> GeneratedInstance:
     vertex numbering witnessing bandwidth at most 6.
     """
     m = len(x3c.triples)
-    q = x3c.q
     if m == 0:
         raise InputError("need at least one triple")
-    edges: List[Tuple[int, int]] = []
-    coloring: List[int] = []
-    certificate: Dict[str, int] = {}
+    spine_color = 2 * m + 3 * x3c.q
+    b = _Builder()
+    order: List[int] = []  # the bandwidth witness, vertex ids by number
+    spine: List[int] = []
+    for i in range(m):
+        spine1, spine2 = b.path(
+            spine[-1] if spine else None,
+            [spine_color + 2 * i, spine_color + 2 * i + 1],
+        )
+        spine.extend([spine1, spine2])
+        b.certificate[f"set:{i}:spine1"] = spine1
+        b.certificate[f"set:{i}:spine2"] = spine2
+        long, short = _teeth(b, x3c, i, spine1, spine2)
+        # Number each tooth outside-in, then its spine vertex, one tooth
+        # after the other.
+        order.extend([*reversed(long), spine1, *reversed(short), spine2])
+    inst = b.instance({c: 1 for c in range(4 * m + 3 * x3c.q)})
+    graph = inst.graph
 
-    def add_vertex(color: int) -> int:
-        coloring.append(color)
-        return len(coloring) - 1
-
-    numbering: Dict[int, int] = {}
-    counter = 0
-
-    def number(v: int) -> None:
-        nonlocal counter
-        numbering[v] = counter
-        counter += 1
-
-    prev_spine = None
-    for i, triple in enumerate(x3c.triples):
-        spine1 = add_vertex(2 * m + 3 * q + 2 * i)
-        spine2 = add_vertex(2 * m + 3 * q + 2 * i + 1)
-        edges.append((spine1, spine2))
-        if prev_spine is not None:
-            edges.append((prev_spine, spine1))
-        prev_spine = spine2
-        # Long tooth on spine1, short tooth on spine2.
-        head1 = add_vertex(i)
-        edges.append((spine1, head1))
-        prev = head1
-        tooth1 = [head1]
-        for e in triple:
-            ev = add_vertex(2 * m + e)
-            edges.append((prev, ev))
-            prev = ev
-            tooth1.append(ev)
-        tail1 = add_vertex(m + i)
-        edges.append((prev, tail1))
-        tooth1.append(tail1)
-        head2 = add_vertex(i)
-        tail2 = add_vertex(m + i)
-        edges.extend([(spine2, head2), (head2, tail2)])
-        certificate[f"set:{i}:spine1"] = spine1
-        certificate[f"set:{i}:spine2"] = spine2
-        certificate[f"set:{i}:long"] = head1
-        certificate[f"set:{i}:short"] = head2
-        # Bandwidth witness: number each tooth outside-in, then its spine
-        # vertex, one tooth after the other.
-        for v in reversed(tooth1):
-            number(v)
-        number(spine1)
-        number(tail2)
-        number(head2)
-        number(spine2)
-
-    graph = Graph(len(coloring), edges)
-    motif = Motif({c: 1 for c in range(4 * m + 3 * q)})
-    inst = Instance(graph, tuple(coloring), motif)
-
-    gap = max(abs(numbering[u] - numbering[v]) for u, v in graph.edges())
+    number = {v: k for k, v in enumerate(order)}
+    gap = max(abs(number[u] - number[v]) for u, v in graph.edges())
     _check(gap <= 6, "bandwidth witness has gap <= 6")
-    spine = [certificate[f"set:{i}:spine{j}"] for i in range(m) for j in (1, 2)]
     _check(
         all(graph.has_edge(spine[a], spine[a + 1]) for a in range(len(spine) - 1)),
         "spine is a path",
@@ -342,11 +340,10 @@ def gen_x3c_comb(x3c: X3cInstance) -> GeneratedInstance:
     claims = {
         "bandwidth-witness-gap": gap,
         "spine-length": 2 * m,
-        "colors": 4 * m + 3 * q,
+        "colors": 4 * m + 3 * x3c.q,
     }
-    for v, num in numbering.items():
-        certificate[f"order:{num}"] = v
-    return GeneratedInstance(inst, certificate, claims)
+    b.certificate.update((f"order:{k}", v) for k, v in enumerate(order))
+    return GeneratedInstance(inst, b.certificate, claims)
 
 
 def gen_x3c_superstar_cliques(x3c: X3cInstance) -> GeneratedInstance:
@@ -363,28 +360,14 @@ def gen_x3c_superstar_cliques(x3c: X3cInstance) -> GeneratedInstance:
         raise InputError("need at least one triple")
     head_color = 3 * q
     root_color = 3 * q + 1
-    edges: List[Tuple[int, int]] = []
-    coloring: List[int] = [root_color]
-    certificate: Dict[str, int] = {"root": 0}
+    b = _Builder()
+    b.certificate["root"] = b.vertex(root_color)
     for i, triple in enumerate(x3c.triples):
-        base = len(coloring)
-        coloring.append(head_color)
-        for e in triple:
-            coloring.append(e)
-        members = list(range(base, len(coloring)))
-        edges.append((0, base))
-        edges.extend(
-            (members[a], members[b])
-            for a in range(len(members))
-            for b in range(a + 1, len(members))
-        )
-        certificate[f"set:{i}:head"] = base
-
-    graph = Graph(len(coloring), edges)
-    motif = Motif(
-        {root_color: 1, head_color: q, **{e: 1 for e in range(3 * q)}}
-    )
-    inst = Instance(graph, tuple(coloring), motif)
+        head = b.clique([head_color, *triple])[0]
+        b.edges.append((0, head))
+        b.certificate[f"set:{i}:head"] = head
+    inst = b.instance({root_color: 1, head_color: q, **{e: 1 for e in range(3 * q)}})
+    graph = inst.graph
 
     comps = _components_after_removal(graph, 0)
     _check(
@@ -397,7 +380,7 @@ def gen_x3c_superstar_cliques(x3c: X3cInstance) -> GeneratedInstance:
         "cliques-after-root-removal": m,
         "max-clique-size": max(len(t) for t in x3c.triples) + 1,
     }
-    return GeneratedInstance(inst, certificate, claims)
+    return GeneratedInstance(inst, b.certificate, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -416,20 +399,21 @@ def gen_domset_gadget(inst: Instance, root: int) -> GeneratedInstance:
         raise InputError(f"root {root} out of range")
     x = 1 + max(max(inst.coloring, default=0), max(inst.motif.multiplicities))
     y = x + 1
-    u, s, t = g.n, g.n + 1, g.n + 2
-    edges = g.edges()
-    edges.extend((u, v) for v in range(g.n))
-    edges.extend([(s, t), (t, root)])
-    coloring = tuple(inst.coloring) + (x, y, x)
-    motif = Motif({**inst.motif.multiplicities, x: 1, y: 1})
-    graph = Graph(g.n + 3, edges)
-    out = Instance(graph, coloring, motif)
+    b = _Builder()
+    b.coloring.extend(inst.coloring)
+    b.edges.extend(g.edges())
+    u = b.vertex(x)
+    s, t = b.path(None, [y, x])
+    b.edges.extend((u, v) for v in range(g.n))
+    b.edges.append((t, root))
+    out = b.instance({**inst.motif.multiplicities, x: 1, y: 1})
+    graph = out.graph
 
     dominated = {u, t} | set(graph.adjacency[u]) | set(graph.adjacency[t])
     _check(dominated == set(range(graph.n)), "{u,t} is a dominating set")
-    certificate = {"u": u, "s": s, "t": t, "root": root}
+    b.certificate.update(u=u, s=s, t=t, root=root)
     claims = {"dominating-set-size": 2}
-    return GeneratedInstance(out, certificate, claims)
+    return GeneratedInstance(out, b.certificate, claims)
 
 
 def gen_domset_reduction(
@@ -447,29 +431,20 @@ def gen_domset_reduction(
     if not 1 <= t <= h.n:
         raise InputError("budget must satisfy 1 <= t <= |V(h)|")
     special = 0
-    edges: List[Tuple[int, int]] = []
-    coloring: List[int] = [special]  # z is vertex 0
-    certificate: Dict[str, int] = {"z": 0}
+    b = _Builder()
+    b.certificate["z"] = b.vertex(special)
     for v in range(h.n):
-        base = len(coloring)
-        coloring.append(special)
-        for w in sorted(set(h.adjacency[v]) | {v}):
-            coloring.append(w + 1)
-        members = list(range(base, len(coloring)))
-        edges.append((0, base))
+        colors = [w + 1 for w in sorted({v, *h.adjacency[v]})]
         if variant == "cluster":
-            edges.extend(
-                (members[a], members[b])
-                for a in range(len(members))
-                for b in range(a + 1, len(members))
-            )
+            anchor = b.clique([special, *colors])[0]
         else:
-            edges.extend((base, w) for w in members[1:])
-        certificate[f"vertex:{v}:anchor"] = base
-
-    graph = Graph(len(coloring), edges)
-    motif = Motif({special: t + 1, **{v + 1: 1 for v in range(h.n)}})
-    inst = Instance(graph, tuple(coloring), motif)
+            anchor = b.vertex(special)
+            for color in colors:
+                b.path(anchor, [color])
+        b.edges.append((0, anchor))
+        b.certificate[f"vertex:{v}:anchor"] = anchor
+    inst = b.instance({special: t + 1, **{v + 1: 1 for v in range(h.n)}})
+    graph = inst.graph
 
     if variant == "cluster":
         comps = _components_after_removal(graph, 0)
@@ -488,7 +463,7 @@ def gen_domset_reduction(
             "tree variant emits a tree",
         )
         claims = {"is-tree": 1}
-    return GeneratedInstance(inst, certificate, claims)
+    return GeneratedInstance(inst, b.certificate, claims)
 
 
 def domset_brute(h: Graph, t: int) -> bool:
@@ -509,6 +484,42 @@ def domset_brute(h: Graph, t: int) -> bool:
 # Split-graph constructions
 
 
+def _split_graph(
+    s: SetSystem, clique_side: str, mults: Dict[int, int], empty: str, claim: str
+) -> GeneratedInstance:
+    """Element vertices 0..n-1 (color 1), then one vertex per set (color 2)
+    joined to its elements; clique_side, "element" or "set", is a clique and
+    the other side is independent.  `claim` names the parameter n bounds.
+    """
+    b = _Builder()
+    sides = {
+        "element": [b.vertex(1) for _ in range(s.n)],
+        "set": [b.vertex(2) for _ in s.sets],
+    }
+    other_side = "set" if clique_side == "element" else "element"
+    clique, other = sides[clique_side], sides[other_side]
+    b.edges.extend(combinations(clique, 2))
+    for j, members in enumerate(s.sets):
+        b.edges.extend((e, sides["set"][j]) for e in members)
+    mults = {c: v for c, v in mults.items() if v > 0}
+    if not mults:
+        raise InputError(empty)
+    inst = b.instance(mults)
+    graph = inst.graph
+
+    _check(graph.is_clique(clique), f"{clique_side} side is a clique")
+    _check(_independent(graph, other), f"{other_side} side is independent")
+    cover = set(clique)
+    _check(
+        all(w in cover for v in other for w in graph.adjacency[v]),
+        f"{clique_side} side is a vertex cover",
+    )
+    b.certificate.update((f"element:{i}", v) for i, v in enumerate(sides["element"]))
+    b.certificate.update((f"set:{j}", v) for j, v in enumerate(sides["set"]))
+    claims = {claim: s.n, "split-graph": 1}
+    return GeneratedInstance(inst, b.certificate, claims)
+
+
 def gen_hitting_set_split(s: SetSystem) -> GeneratedInstance:
     """Hitting set as a split graph: element clique vs. independent sets.
 
@@ -516,36 +527,15 @@ def gen_hitting_set_split(s: SetSystem) -> GeneratedInstance:
     vertices (color 2) are independent.  The motif asks for t elements and
     all m set vertices.
     """
-    n, m, t = s.n, len(s.sets), s.budget
-    if t > n:
+    if s.budget > s.n:
         raise InputError("budget exceeds the number of elements")
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for j, members in enumerate(s.sets):
-        edges.extend((e, n + j) for e in members)
-    coloring = tuple([1] * n + [2] * m)
-    mults = {c: v for c, v in ((1, t), (2, m)) if v > 0}
-    if not mults:
-        raise InputError("zero budget and empty family give an empty motif")
-    graph = Graph(n + m, edges)
-    inst = Instance(graph, coloring, Motif(mults))
-
-    _check(graph.is_clique(range(n)), "element side is a clique")
-    _check(
-        all(
-            not graph.has_edge(n + a, n + b)
-            for a in range(m)
-            for b in range(a + 1, m)
-        ),
-        "set side is independent",
+    return _split_graph(
+        s,
+        "element",
+        {1: s.budget, 2: len(s.sets)},
+        "zero budget and empty family give an empty motif",
+        "vertex-cover-size",
     )
-    _check(
-        all(u < n or v < n for u, v in graph.edges()),
-        "element side is a vertex cover",
-    )
-    certificate = {f"element:{i}": i for i in range(n)}
-    certificate.update({f"set:{j}": n + j for j in range(m)})
-    claims = {"vertex-cover-size": n, "split-graph": 1}
-    return GeneratedInstance(inst, certificate, claims)
 
 
 def gen_set_cover_split(s: SetSystem) -> GeneratedInstance:
@@ -555,30 +545,15 @@ def gen_set_cover_split(s: SetSystem) -> GeneratedInstance:
     so the distance to clique is at most n.  The motif asks for every
     element and t sets.
     """
-    n, m, t = s.n, len(s.sets), s.budget
-    if t > m:
+    if s.budget > len(s.sets):
         raise InputError("budget exceeds the number of sets")
-    edges = [(n + i, n + j) for i in range(m) for j in range(i + 1, m)]
-    for j, members in enumerate(s.sets):
-        edges.extend((e, n + j) for e in members)
-    coloring = tuple([1] * n + [2] * m)
-    mults = {c: v for c, v in ((1, n), (2, t)) if v > 0}
-    if not mults:
-        raise InputError("empty universe and zero budget give an empty motif")
-    graph = Graph(n + m, edges)
-    inst = Instance(graph, coloring, Motif(mults))
-
-    _check(graph.is_clique(range(n, n + m)), "set side is a clique")
-    _check(
-        all(
-            not graph.has_edge(a, b) for a in range(n) for b in range(a + 1, n)
-        ),
-        "element side is independent",
+    return _split_graph(
+        s,
+        "set",
+        {1: s.n, 2: s.budget},
+        "empty universe and zero budget give an empty motif",
+        "distance-to-clique",
     )
-    certificate = {f"element:{i}": i for i in range(n)}
-    certificate.update({f"set:{j}": n + j for j in range(m)})
-    claims = {"distance-to-clique": n, "split-graph": 1}
-    return GeneratedInstance(inst, certificate, claims)
 
 
 # ---------------------------------------------------------------------------
@@ -603,30 +578,12 @@ def gen_mcc_star(p: PartitionedGraph) -> GeneratedInstance:
     s = k * (t - 1) + len(pairs) * t * t
     edge_set = set(p.edges)
 
-    edges: List[Tuple[int, int]] = []
-    coloring: List[int] = [c0]
-    certificate: Dict[str, int] = {"center": 0}
+    b = _Builder()
+    b.certificate["center"] = b.vertex(c0)
     warnings: List[str] = []
-    leg_ends: List[int] = []
-
-    def add_leg(colors: Sequence[int]) -> List[int]:
-        ids = []
-        prev = 0
-        for color in colors:
-            coloring.append(color)
-            v = len(coloring) - 1
-            edges.append((prev, v))
-            prev = v
-            ids.append(v)
-        leg_ends.append(ids[-1])
-        return ids
-
-    def block(internal: Sequence[int]) -> List[int]:
-        return [cb] + sorted(internal) + [ce]
 
     # Slack leg: s empty blocks.
-    slack = add_leg([cb, ce] * s)
-    certificate["slack:first"] = slack[0]
+    b.certificate["slack:first"] = b.path(0, [cb, ce] * s)[0]
 
     # One leg per class: t-1 copies of the class block.
     for i in range(k):
@@ -636,10 +593,10 @@ def gen_mcc_star(p: PartitionedGraph) -> GeneratedInstance:
         for j in range(i + 1, k):
             if (i, j) in pair_color:
                 internal.extend([pair_color[(i, j)]] * t)
-        ids = add_leg(block(internal) * (t - 1))
+        ids = b.path(0, [cb, *sorted(internal), ce] * (t - 1))
         block_len = len(internal) + 2
         for q in range(2, t + 1):
-            certificate[f"stop:{i}:{q}"] = ids[(q - 1) * block_len - 1]
+            b.certificate[f"stop:{i}:{q}"] = ids[(q - 1) * block_len - 1]
 
     # One leg per pair: block lengths encode complemented edge codes.
     for (i, j) in pairs:
@@ -660,20 +617,17 @@ def gen_mcc_star(p: PartitionedGraph) -> GeneratedInstance:
             complemented[h] - complemented[h - 1]
             for h in range(1, len(complemented))
         ]
-        colors: List[int] = []
-        for d in deltas:
-            colors.extend(block([color] * d))
-        ids = add_leg(colors)
+        ids = b.path(0, [c for d in deltas for c in [cb, *[color] * d, ce]])
         pos = 0
         for h, d in enumerate(deltas):
             pos += d + 2
             code = t * t - complemented[h]
-            certificate[f"edge:{i}:{j}:{code}"] = ids[pos - 1]
+            b.certificate[f"edge:{i}:{j}:{code}"] = ids[pos - 1]
 
-    graph = Graph(len(coloring), edges)
     mults = {c0: 1, cb: s, ce: s}
     mults.update({pair_color[pair]: t * t for pair in pairs})
-    inst = Instance(graph, tuple(coloring), Motif(mults))
+    inst = b.instance(mults)
+    graph = inst.graph
 
     # Alternating property: walking any leg outward, begin- and end-colored
     # vertices strictly alternate starting with begin, ending with end.
@@ -684,22 +638,23 @@ def gen_mcc_star(p: PartitionedGraph) -> GeneratedInstance:
             if not nxt:
                 break
             walk.append(nxt[0])
-        marks = [coloring[v] for v in walk[1:] if coloring[v] in (cb, ce)]
+        marks = [b.coloring[v] for v in walk[1:] if b.coloring[v] in (cb, ce)]
         _check(
             marks[0] == cb
             and marks[-1] == ce
-            and all(a != b for a, b in zip(marks, marks[1:])),
+            and all(x != y for x, y in zip(marks, marks[1:])),
             "legs are tiled by begin/end blocks",
         )
+    legs = graph.degree(0)
     leaves = sum(1 for v in range(graph.n) if graph.degree(v) == 1)
-    _check(leaves == len(leg_ends), "one leaf per leg")
+    _check(leaves == legs, "one leaf per leg")
     claims = {
         "max-leaf": leaves,
-        "legs": len(leg_ends),
+        "legs": legs,
         "slack-length": 2 * s,
         "colors": 3 + len(pairs),
     }
-    return GeneratedInstance(inst, certificate, claims, tuple(warnings))
+    return GeneratedInstance(inst, b.certificate, claims, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -724,74 +679,43 @@ def gen_or_composition(
     for x in instances:
         if x.q != q or len(x.triples) != m:
             raise InputError("instances must share q and the number of triples")
-    t = len(instances)
     subsets = list(combinations(range(3 * q), 3))
     subset_index = {s: i for i, s in enumerate(subsets)}
-    layers = q if colorful else 1
 
-    edges: List[Tuple[int, int]] = []
-    coloring: List[int] = []
-    certificate: Dict[str, int] = {}
-
+    # The colorful variant gives each of q layers of subset vertices, and
+    # each element, a color of its own.
     if colorful:
-        layer_color = list(range(q))
-        elem_color = [q + j for j in range(3 * q)]
-        selector_color = 4 * q
+        selector_color, layer_colors = 4 * q, list(range(q))
+        element_colors = [q + j for j in range(3 * q)]
     else:
-        selector_color, subset_color, element_color = 1, 2, 3
+        selector_color, layer_colors, element_colors = 1, [2], [3] * (3 * q)
 
-    selector_ids = list(range(t))
-    coloring.extend([selector_color] * t)
-    subset_ids: Dict[Tuple[int, int], int] = {}
-    for layer in range(layers):
-        for idx, sub in enumerate(subsets):
-            coloring.append(layer_color[layer] if colorful else subset_color)
-            subset_ids[(layer, idx)] = len(coloring) - 1
-    element_ids = []
-    for j in range(3 * q):
-        coloring.append(elem_color[j] if colorful else element_color)
-        element_ids.append(len(coloring) - 1)
-
+    b = _Builder()
+    selectors = [b.vertex(selector_color) for _ in instances]
+    layers = [[b.vertex(c) for _ in subsets] for c in layer_colors]
+    elements = [b.vertex(c) for c in element_colors]
     for i, x in enumerate(instances):
-        certificate[f"instance:{i}"] = selector_ids[i]
+        b.certificate[f"instance:{i}"] = selectors[i]
         for triple in x.triples:
             idx = subset_index[triple]
-            for layer in range(layers):
-                edges.append((selector_ids[i], subset_ids[(layer, idx)]))
-    for idx, sub in enumerate(subsets):
-        for layer in range(layers):
-            for j in sub:
-                edges.append((subset_ids[(layer, idx)], element_ids[j]))
+            b.edges.extend((selectors[i], layer[idx]) for layer in layers)
+    for layer in layers:
+        for idx, sub in enumerate(subsets):
+            b.edges.extend((layer[idx], elements[j]) for j in sub)
+    # One selector, q subset vertices spread evenly over the layers, and
+    # every element.
+    chosen = [selector_color, *layer_colors * (q // len(layers)), *element_colors]
+    inst = b.instance(Counter(chosen))
+    graph = inst.graph
 
-    graph = Graph(len(coloring), sorted(set(edges)))
-    if colorful:
-        mults = {selector_color: 1}
-        mults.update({layer_color[l]: 1 for l in range(q)})
-        mults.update({elem_color[j]: 1 for j in range(3 * q)})
-    else:
-        mults = {selector_color: 1, subset_color: q, element_color: 3 * q}
-    inst = Instance(graph, tuple(coloring), Motif(mults))
-
+    _check(_independent(graph, selectors), "selector vertices are independent")
     _check(
-        all(
-            not graph.has_edge(a, b)
-            for a in range(t)
-            for b in range(a + 1, t)
-        ),
-        "selector vertices are independent",
-    )
-    sub_vertices = sorted(subset_ids.values())
-    _check(
-        all(
-            not graph.has_edge(u, v)
-            for a, u in enumerate(sub_vertices)
-            for v in sub_vertices[a + 1 :]
-        ),
+        _independent(graph, [v for layer in layers for v in layer]),
         "subset vertices are independent",
     )
     claims = {
-        "instances": t,
-        "subset-vertices": len(subsets) * layers,
+        "instances": len(instances),
+        "subset-vertices": len(subsets) * len(layers),
         "colorful": int(colorful),
     }
-    return GeneratedInstance(inst, certificate, claims)
+    return GeneratedInstance(inst, b.certificate, claims)

@@ -226,6 +226,26 @@ class TestGenerateChain:
         code, _ = self.gen(tmp_path, "x3c-paths", "z 1\n")
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "reduction, source",
+        [
+            ("domset", "n 3\nt 1\ne 0 1 2\n"),
+            ("x3c-paths", "q 1\ns 0 1\n"),
+            ("x3c-paths", "q 1 2\ns 0 1 2\n"),
+        ],
+    )
+    def test_wrong_field_count(self, tmp_path, capsys, reduction, source):
+        code, _ = self.gen(tmp_path, reduction, source)
+        assert code == EXIT_PARSE
+        assert "fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["-o", "--certificate"])
+    def test_unwritable_output(self, tmp_path, capsys, flag):
+        missing = str(tmp_path / "missing" / "x.gm")
+        code, _ = self.gen(tmp_path, "x3c-paths", "q 1\ns 0 1 2\n", flag, missing)
+        assert code == EXIT_PARSE
+        assert f"cannot write {missing}" in capsys.readouterr().err
+
 
 class TestParams:
     def test_report(self, yes_file, capsys):
@@ -319,11 +339,20 @@ class TestBench:
     def test_not_a_directory(self, tmp_path):
         assert main(["bench", str(tmp_path / "nope")]) == EXIT_PARSE
 
-    def test_bad_thread_cap(self, tmp_path, capsys, monkeypatch):
-        (tmp_path / "a.gm").write_text(YES_TEXT)
-        monkeypatch.setenv("MOTIF_KIT_THREADS", "abc")
-        assert main(["bench", str(tmp_path), "--timeout", "30"]) == EXIT_PARSE
-        assert "MOTIF_KIT_THREADS" in capsys.readouterr().err
+    def test_capacity_cell_is_cap_not_fatal(self, tmp_path, capsys):
+        # 30 vertices: over the brute solver's cap, easy for vc.
+        lines = ["p gm 30 29"] + [f"e {v} {v + 1}" for v in range(29)]
+        lines += [f"c {v} {v % 2}" for v in range(30)] + ["m 0 1", "m 1 1"]
+        (tmp_path / "path.gm").write_text("\n".join(lines) + "\n")
+        code = main(
+            ["bench", str(tmp_path), "--algo", "brute", "vc", "--timeout", "30"]
+        )
+        assert code == EXIT_YES
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(r[1], r[2], r[4]) for r in rows] == [
+            ("brute", "CAP", "agree"),
+            ("vc", "YES", "agree"),
+        ]
 
     def test_unknown_algo(self, tmp_path):
         (tmp_path / "a.gm").write_text(YES_TEXT)
@@ -354,6 +383,19 @@ class TestSourceGrammars:
     def test_graph_budget(self):
         g, t = parse_graph_budget("n 3\nt 1\ne 0 1\n")
         assert g.n == 3 and t == 1 and g.num_edges() == 1
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_x3c_sources, "q\n"),
+            (parse_set_system, "n 2 3\nt 1\n"),
+            (parse_graph_budget, "n 3\nt\n"),
+            (parse_partitioned_graph, "k 2\nt 2\npattern 0\n"),
+        ],
+    )
+    def test_wrong_field_count(self, parse, text):
+        with pytest.raises(InputError, match="fields"):
+            parse(text)
 
     def test_partitioned_graph(self):
         p = parse_partitioned_graph("k 2\nt 2\ne 0 2\npattern 0 1\n")

@@ -97,7 +97,8 @@ class TestLabeledTrees:
 def exhaustive_max_matching(b: BipartiteGraph) -> int:
     edges = list(b.edges)
     best = 0
-    for r in range(len(edges), -1, -1):
+    # No matching is larger than a side.
+    for r in range(min(len(edges), b.left, b.right), -1, -1):
         if r <= best:
             break
         from itertools import combinations

@@ -1,9 +1,17 @@
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
-from motifkit.core import Graph, InputError, Instance, Motif, verify_solution
+from motifkit.core import (
+    Graph,
+    InputError,
+    Instance,
+    Motif,
+    format_instance,
+    verify_solution,
+)
 from motifkit.generators import (
     GeneratedInstance,
     PartitionedGraph,
@@ -292,3 +300,37 @@ class TestCertificateFormat:
         inst = Instance(Graph(1), (0,), Motif({0: 1}))
         with pytest.raises(InputError):
             GeneratedInstance(inst, {"root": 5}, {})
+
+
+class TestGeneratedText:
+    # SHA-256 of the text below; a change to any generator's vertex
+    # numbering, edges, motif, certificate, claims or warnings changes it.
+    DIGEST = "90dfe1e6fc21bbf2a12f41cd9e854be8fdfe879095510d2e27f6d60a736d3625"
+
+    def test_every_reduction_is_byte_stable(self):
+        yes = X3cInstance(2, ((0, 1, 2), (3, 4, 5), (0, 1, 3)))
+        no = X3cInstance(2, ((0, 1, 2), (0, 1, 3), (0, 1, 4)))
+        rooted = Instance(Graph(3, [(0, 1), (1, 2)]), (0, 1, 0), Motif({0: 1, 1: 1}))
+        h = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+        sets = SetSystem(4, ((0, 1), (1, 2, 3), (0, 3), (2,)), 2)
+        edges = ((0, 2), (2, 4), (1, 3), (3, 5), (0, 5))
+        pattern = frozenset({(0, 1), (1, 2)})
+        generated = [
+            gen_x3c_paths(FIG_SOURCE),
+            gen_x3c_comb(FIG_SOURCE),
+            gen_x3c_superstar_cliques(FIG_SOURCE),
+            gen_domset_gadget(rooted, 1),
+            gen_domset_reduction(h, 2, "cluster"),
+            gen_domset_reduction(h, 2, "tree"),
+            gen_hitting_set_split(sets),
+            gen_set_cover_split(sets),
+            gen_mcc_star(PartitionedGraph(3, 2, edges)),
+            gen_mcc_star(PartitionedGraph(3, 2, edges[:4], pattern)),
+            gen_mcc_star(PartitionedGraph(2, 2, ())),
+            gen_or_composition([no, yes]),
+            gen_or_composition([no, yes], colorful=True),
+        ]
+        text = "".join(
+            format_instance(gen.instance) + format_certificate(gen) for gen in generated
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST

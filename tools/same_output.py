@@ -4,9 +4,10 @@
 
 PARENT_SRC and CHANGE_SRC are directories that hold a `motifkit` package
 (a checkout's `src`).  The script builds the three benchmark corpora for the
-seed with `perfbench/corpus.py` into a temporary directory, from PARENT_SRC's
-generators, and runs `motifkit solve` on every file under each side, one
-subprocess per cell with a time limit of S seconds (default 5):
+seed with `perfbench/corpus.py` into a temporary directory, once from each
+side's generators, and prints each workload's `corpus_sha256` for both sides.
+It then runs `motifkit solve` on every file of PARENT_SRC's corpora under
+each side, one subprocess per cell with a time limit of S seconds (default 5):
 
     dense-clique  --algo dist-clique
     sparse-paths  --algo maxleaf
@@ -15,13 +16,15 @@ subprocess per cell with a time limit of S seconds (default 5):
 A cell is identical when both sides finish with the same stdout, stderr and
 exit code.  The script prints how many cells are identical, how many differ
 and how many timed out on one side or on both, and names every cell that
-differs or timed out on one side only.  It exits 1 if any cell finished on
-both sides with different output, 0 otherwise.
+differs or timed out on one side only.  It exits 1 if a workload's corpus
+hash differs between the sides or any cell finished on both sides with
+different output, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -43,9 +46,11 @@ CELLS = {
 }
 
 
-def build_corpora(src: Path, seed: int, out: Path) -> None:
+def build_corpora(src: Path, seed: int, out: Path) -> dict:
+    """Write the corpora under out/WORKLOAD; their hashes by workload."""
+    hashes = {}
     for workload in CELLS:
-        subprocess.run(
+        done = subprocess.run(
             [
                 sys.executable,
                 str(ROOT / "perfbench" / "corpus.py"),
@@ -55,8 +60,11 @@ def build_corpora(src: Path, seed: int, out: Path) -> None:
                 "--src", str(src),
             ],
             check=True,
-            stdout=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            text=True,
         )
+        hashes[workload] = json.loads(done.stdout)["corpus_sha256"]
+    return hashes
 
 
 def solve(src: Path, path: Path, argv: list, limit: float, cwd: str):
@@ -90,8 +98,15 @@ def main(argv=None) -> int:
 
     counts = {"identical": 0, "differ": 0, "timeout one side": 0, "timeout both": 0}
     with tempfile.TemporaryDirectory(prefix="same-output-") as tmp:
-        corpora = Path(tmp)
-        build_corpora(sides[0], args.seed, corpora)
+        corpora = Path(tmp) / "parent"
+        hashes = [
+            build_corpora(src, args.seed, Path(tmp) / name)
+            for src, name in zip(sides, ("parent", "change"))
+        ]
+        for workload in CELLS:
+            parent, change = (h[workload] for h in hashes)
+            verdict = "equal" if parent == change else "DIFFER"
+            print(f"corpus {workload}: {verdict} parent {parent} change {change}")
         for workload, algo_args in CELLS.items():
             for path in sorted((corpora / workload).glob("*.gm")):
                 for cell_argv in algo_args:
@@ -113,7 +128,7 @@ def main(argv=None) -> int:
     print(f"seed {args.seed}, limit {args.limit:g} s per cell")
     for name, count in counts.items():
         print(f"{name}: {count}")
-    return 1 if counts["differ"] else 0
+    return 1 if counts["differ"] or hashes[0] != hashes[1] else 0
 
 
 if __name__ == "__main__":
