@@ -7,6 +7,7 @@ error, 3 = capacity exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import signal
 import sys
@@ -301,19 +302,36 @@ REDUCTIONS: Dict[str, Callable[[str, argparse.Namespace], GeneratedInstance]] = 
 }
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_texts(texts: Dict[str, str]) -> None:
+    """Write each text to its path, or, if any write fails, none of them.
+
+    Each text goes to a temporary file beside its path first; the files are
+    renamed into place only once all of them are written.
+    """
+    temps = {path: f"{path}.{os.getpid()}.tmp" for path in texts}
+    made: List[str] = []  # files to remove again if a step fails
     try:
-        Path(path).write_text(text)
+        for path, text in texts.items():
+            with open(temps[path], "x") as out:
+                made.append(temps[path])
+                out.write(text)
+        for path in texts:
+            os.replace(temps[path], path)
+            made.append(path)
     except OSError as exc:
+        for name in made:
+            with contextlib.suppress(OSError):
+                os.remove(name)
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     generated = REDUCTIONS[args.reduction](_read_text(args.source), args)
     comment = f"generated by reduction {args.reduction}"
-    _write_text(args.output, format_instance(generated.instance, comment))
-    cert_path = args.certificate or args.output + ".cert"
-    _write_text(cert_path, format_certificate(generated))
+    _write_texts({
+        args.output: format_instance(generated.instance, comment),
+        args.certificate or args.output + ".cert": format_certificate(generated),
+    })
     for warning in generated.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     g = generated.instance.graph
@@ -348,9 +366,14 @@ def cmd_params(args: argparse.Namespace) -> int:
 # Benchmark harness
 
 
-def _bench_cell(job: Tuple[str, str, float]) -> Tuple[str, str, str, float]:
+def _bench_cell(job: Tuple[str, str, float]) -> Tuple[str, str, str, float, str]:
+    """(file, algo, answer, seconds, parse error); the answer is `ERR`, with
+    the parser's message, when the file does not parse."""
     path, algo, timeout = job
-    inst = parse_instance(Path(path).read_text())
+    try:
+        inst = parse_instance(_read_text(path))
+    except InputError as exc:
+        return path, algo, "ERR", 0.0, str(exc)
     structure: Structure = None
     if algo == "vcc":
         structure = greedy_vertex_clique_cover(inst.graph)
@@ -374,7 +397,7 @@ def _bench_cell(job: Tuple[str, str, float]) -> Tuple[str, str, str, float]:
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
-    return (os.path.basename(path), algo, answer, time.perf_counter() - start)
+    return path, algo, answer, time.perf_counter() - start, ""
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -385,30 +408,37 @@ def cmd_bench(args: argparse.Namespace) -> int:
     algos = args.algo
     jobs = [(path, algo, args.timeout) for path in paths for algo in algos]
     results: Dict[Tuple[str, str], Tuple[str, float]] = {}
+    errors: Dict[str, str] = {}
     if args.timeout <= 0:
         for path, algo, _ in jobs:
-            results[(os.path.basename(path), algo)] = ("TO", 0.0)
+            results[(path, algo)] = ("TO", 0.0)
     elif jobs:
         workers = min(len(jobs), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for name, algo, answer, seconds in pool.map(_bench_cell, jobs):
-                results[(name, algo)] = (answer, seconds)
+            for path, algo, answer, seconds, error in pool.map(_bench_cell, jobs):
+                results[(path, algo)] = (answer, seconds)
+                if error:
+                    errors[path] = error
+    for path, error in errors.items():
+        print(f"error: {path}: {error}", file=sys.stderr)
 
     disagreement = False
     print(f"{'instance':<28} {'algo':<12} {'answer':<6} {'time':>8}  agreement")
     for path in paths:
         name = os.path.basename(path)
         answers = {
-            results[(name, algo)][0]
+            results[(path, algo)][0]
             for algo in algos
-            if results[(name, algo)][0] not in ("TO", "CAP")
+            if results[(path, algo)][0] not in ("TO", "CAP", "ERR")
         }
         status = "agree" if len(answers) <= 1 else "differ"
         if status == "differ":
             disagreement = True
         for algo in algos:
-            answer, seconds = results[(name, algo)]
+            answer, seconds = results[(path, algo)]
             print(f"{name:<28} {algo:<12} {answer:<6} {seconds:>8.3f}  {status}")
+    if errors:
+        return EXIT_PARSE
     return EXIT_NO if disagreement else EXIT_YES
 
 

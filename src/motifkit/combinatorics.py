@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
-from typing import Iterator, List, Sequence, Set, Tuple
+from itertools import permutations
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .core import InputError
 
@@ -55,32 +55,30 @@ def iter_ordered_partitions(items: Sequence, parts: int) -> Iterator[List[List]]
             yield [blocks[i] for i in order]
 
 
-def iter_labeled_trees(k: int) -> Iterator[Set[Tuple[int, int]]]:
-    """All k^(k-2) labeled trees on nodes 0..k-1, via Pruefer decoding."""
+def iter_spanning_trees(
+    k: int, edges: Iterable[Tuple[int, int]]
+) -> Iterator[List[Tuple[int, int]]]:
+    """Every spanning tree of the graph on nodes 0..k-1 with the given edges
+    (pairs u < v), once each, as a sorted edge list.
+
+    Grows forests by edges in sorted order, each joining two of the forest's
+    trees, while enough edges are left to reach k - 1 of them.
+    """
     if k < 1:
         raise InputError("need at least one node")
-    if k == 1:
-        yield set()
-        return
+    edges = sorted(edges)
 
-    def decode(seq: Tuple[int, ...]) -> Set[Tuple[int, int]]:
-        degree = [1] * k
-        for x in seq:
-            degree[x] += 1
-        edges: Set[Tuple[int, int]] = set()
-        for x in seq:
-            for v in range(k):
-                if degree[v] == 1:
-                    edges.add((min(v, x), max(v, x)))
-                    degree[v] -= 1
-                    degree[x] -= 1
-                    break
-        u, v = [v for v in range(k) if degree[v] == 1]
-        edges.add((u, v))
-        return edges
+    def grow(start: int, comp: List[int], tree: List[Tuple[int, int]]):
+        if len(tree) == k - 1:
+            yield tree
+            return
+        for i in range(start, len(edges) + len(tree) + 2 - k):
+            u, v = edges[i]
+            if comp[u] != comp[v]:
+                joined = [comp[u] if c == comp[v] else c for c in comp]
+                yield from grow(i + 1, joined, tree + [(u, v)])
 
-    for seq in product(range(k), repeat=k - 2):
-        yield decode(seq)
+    yield from grow(0, list(range(k)), [])
 
 
 @dataclass(frozen=True)

@@ -2,57 +2,25 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Set
-
 from ..core import CapacityError, Instance, SolveOutcome, verify_solution
+from .common import iter_connected
 
 BRUTE_CAP = 25
 
 
-def _connected_sets(inst: Instance, size: int) -> Iterator[List[int]]:
-    """All connected vertex sets of the given size, each exactly once.
-
-    Anchored extension (Wernicke-style): a set is discovered from its
-    smallest vertex, growing only through exclusive neighbors with larger
-    ids.  Color-infeasible partial sets are pruned early.
-    """
-    g = inst.graph
-    motif = inst.motif
-
-    def extend(
-        sub: List[int], ext: Set[int], closed: Set[int], anchor: int
-    ) -> Iterator[List[int]]:
-        # closed = sub plus every neighbor of sub seen so far; extending only
-        # through neighbors outside it makes each set appear exactly once.
-        if len(sub) == size:
-            yield list(sub)
-            return
-        ext = set(ext)
-        while ext:
-            w = min(ext)
-            ext.remove(w)
-            if motif.count(inst.coloring[w]) == 0:
-                continue
-            sub.append(w)
-            if motif.contains(inst.coloring[v] for v in sub):
-                fresh = {
-                    u for u in g.adjacency[w] if u > anchor and u not in closed
-                }
-                yield from extend(sub, ext | fresh, closed | fresh, anchor)
-            sub.pop()
-
-    for v in range(g.n):
-        if motif.count(inst.coloring[v]) == 0:
-            continue
-        ext = {u for u in g.adjacency[v] if u > v}
-        yield from extend([v], ext, {v} | ext, v)
-
-
 def solve_brute(inst: Instance) -> SolveOutcome:
-    """Exact answer by trying out all connected vertex subsets."""
+    """Exact answer by trying out all connected vertex subsets.
+
+    A partial set whose colors no longer fit in the motif is not extended.
+    """
     if inst.graph.n > BRUTE_CAP:
         raise CapacityError(f"brute solver capped at n <= {BRUTE_CAP}")
-    for candidate in _connected_sets(inst, inst.motif.total):
+    motif = inst.motif
+
+    def fits(sub):
+        return motif.contains(inst.coloring[v] for v in sub)
+
+    for candidate in iter_connected(inst.graph.adjacency, motif.total, fits):
         if verify_solution(inst, candidate):
             return SolveOutcome.yes(candidate)
     return SolveOutcome.no()

@@ -1,4 +1,5 @@
-"""Shared plumbing: per-component dispatch, guess enumeration, greedy completion."""
+"""Shared plumbing: per-component dispatch, guess and connected-set
+enumeration, greedy completion."""
 
 from __future__ import annotations
 
@@ -115,6 +116,44 @@ def iter_guesses(
 
     for size in range(1, min(n, inst.motif.total) + 1):
         yield from extend(0, size)
+
+
+def iter_connected(
+    adjacency: Sequence[Iterable[int]],
+    size: int,
+    keep: Callable[[List[int]], bool] = lambda sub: True,
+) -> Iterator[List[int]]:
+    """Every connected vertex set of exactly `size` vertices, once each.
+
+    ESU (Wernicke, IEEE/ACM TCBB 2006): a set is grown from its smallest
+    vertex, only through neighbors with larger ids that no earlier member is
+    adjacent to.  `keep(sub)` is asked of every prefix, in the order it was
+    grown; a prefix it rejects is not extended.
+    """
+    sub: List[int] = []
+
+    def extend(ext: Set[int], closed: Set[int], anchor: int) -> Iterator[List[int]]:
+        # closed = sub plus every neighbor of sub seen so far; extending only
+        # through neighbors outside it makes each set appear exactly once.
+        if len(sub) == size:
+            yield list(sub)
+            return
+        # `ext` is this call's own set: every caller passes a fresh one.
+        while ext:
+            w = min(ext)
+            ext.remove(w)
+            sub.append(w)
+            if keep(sub):
+                fresh = {u for u in adjacency[w] if u > anchor and u not in closed}
+                yield from extend(ext | fresh, closed | fresh, anchor)
+            sub.pop()
+
+    for v in range(len(adjacency)):
+        sub.append(v)
+        if keep(sub):
+            ext = {u for u in adjacency[v] if u > v}
+            yield from extend(ext, {v} | ext, v)
+        sub.pop()
 
 
 def pick_by_colors(

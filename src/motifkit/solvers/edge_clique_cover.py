@@ -8,12 +8,11 @@ vertex-cover solver.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 from typing import List, Optional, Sequence
 
-from ..core import Graph, InputError, Instance, Motif, SolveOutcome, connected_components
+from ..core import Graph, InputError, Instance, Motif, SolveOutcome
 from ..estimators import validate_clique_cover
-from .common import dispatch_components, restrict_family, try_witness
+from .common import dispatch_components, iter_connected, restrict_family, try_witness
 from .vertex_cover import _solve_connected as _solve_vc_connected
 
 
@@ -40,13 +39,21 @@ def _solve_connected(inst: Instance, cover: List[List[int]]) -> SolveOutcome:
                 return SolveOutcome.yes([v])
         return SolveOutcome.no()
 
-    cliques = [sorted(set(c)) for c in cover if len(c) >= 1]
-    # Cliques covering a spanning tree of the solution suffice, so
-    # subfamilies of size at most |M|-1 are enough to enumerate.
-    max_size = min(len(cliques), motif.total - 1)
-    for size in range(1, max_size + 1):
-        for family in combinations(range(len(cliques)), size):
-            outcome = _try_family(inst, [cliques[i] for i in family])
+    cliques = [sorted(set(c)) for c in cover]
+    # Two cliques are adjacent when they share a vertex.  Cliques covering a
+    # spanning tree of the solution form a connected family of at most |M|-1
+    # cliques, so only those are enumerated.
+    containing: List[List[int]] = [[] for _ in range(g.n)]
+    for i, clique in enumerate(cliques):
+        for v in clique:
+            containing[v].append(i)
+    meets = [
+        {j for v in clique for j in containing[v]} - {i}
+        for i, clique in enumerate(cliques)
+    ]
+    for size in range(1, min(len(cliques), motif.total - 1) + 1):
+        for family in iter_connected(meets, size):
+            outcome = _try_family(inst, [cliques[i] for i in sorted(family)])
             if outcome is not None:
                 return outcome
     return SolveOutcome.no()
@@ -58,24 +65,10 @@ def _try_family(inst: Instance, family: List[List[int]]) -> Optional[SolveOutcom
     counts = Counter(inst.coloring[v] for v in union)
     if any(counts[c] < m for c, m in motif.multiplicities.items()):
         return None
-    # The clique intersection graph must be connected, otherwise the
-    # bipartite replacement graph cannot be either.
-    k = len(family)
-    sets = [set(c) for c in family]
-    meta = Graph(
-        k,
-        [
-            (i, j)
-            for i in range(k)
-            for j in range(i + 1, k)
-            if sets[i] & sets[j]
-        ],
-    )
-    if len(connected_components(meta, range(k))) != 1:
-        return None
 
     # Bipartite incidence graph: clique nodes 0..k-1 (fresh color), then the
     # union vertices with their original colors.
+    k = len(family)
     fresh = max(max(inst.coloring, default=0), max(motif.colors())) + 1
     index = {v: k + j for j, v in enumerate(union)}
     edges = [

@@ -14,24 +14,27 @@ from collections import Counter
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core import (
-    Graph,
-    InputError,
-    Instance,
-    SolveOutcome,
-    connected_components,
-)
+from ..core import InputError, Instance, SolveOutcome
 from ..combinatorics import (
     BipartiteGraph,
-    iter_labeled_trees,
     iter_set_partitions,
+    iter_spanning_trees,
     max_matching_with_cover,
 )
 from ..estimators import validate_clique_cover
-from .common import dispatch_components, pick_by_colors, restrict_family, try_witness
+from .common import (
+    dispatch_components,
+    iter_connected,
+    pick_by_colors,
+    restrict_family,
+    try_witness,
+)
 
 TreeEdge = Tuple[int, int]
 Group = int
+# Endpoint color pairs (lower clique's end first) of the edges joining two
+# cliques, by the pair of cliques.
+ColorGraphs = Dict[Tuple[int, int], Set[Tuple[int, int]]]
 
 
 def solve_vertex_clique_cover(
@@ -56,43 +59,57 @@ def _solve_connected(inst: Instance, cliques: List[List[int]]) -> SolveOutcome:
             if outcome is not None:
                 return outcome
 
-    if len(cliques) < 2 or motif.total < 2:
-        return SolveOutcome.no()
-
-    pair_edges = _transversal_edges(inst.graph, cliques)
-    max_size = min(len(cliques), motif.total)
-    for size in range(2, max_size + 1):
-        for family in combinations(range(len(cliques)), size):
-            outcome = _try_family(inst, cliques, family, pair_edges)
+    pairs = _color_pairs(inst, cliques)
+    # Cliques are adjacent when a usable transversal edge joins them; the
+    # cliques a solution meets form a connected family of at most |M|.
+    adjacency: List[List[int]] = [[] for _ in cliques]
+    for i, j in pairs:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    for size in range(2, min(len(cliques), motif.total) + 1):
+        for family in iter_connected(adjacency, size):
+            outcome = _try_family(inst, cliques, tuple(sorted(family)), pairs)
             if outcome is not None:
                 return outcome
     return SolveOutcome.no()
 
 
-def _transversal_edges(
-    g: Graph, cliques: List[List[int]]
-) -> Dict[Tuple[int, int], List[Tuple[int, int]]]:
-    """Edges between distinct cliques, keyed by ordered clique-index pair."""
+def _color_pairs(inst: Instance, cliques: List[List[int]]) -> ColorGraphs:
+    """The color graph of each pair i < j of cliques joined by an edge: the
+    endpoint colors (in i, in j) of the edges between them.
+
+    A same-color pair is unusable when that color has multiplicity one in
+    the motif, and a clique pair left with no color pair is omitted.
+    """
     owner = {}
     for i, clique in enumerate(cliques):
         for v in clique:
             owner[v] = i
-    out: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for u, v in g.edges():
+    out: ColorGraphs = {}
+    for u, v in inst.graph.edges():
         i, j = owner[u], owner[v]
-        if i == j:
-            continue
         if i > j:
             i, j, u, v = j, i, v, u
-        out.setdefault((i, j), []).append((u, v))
+        cu, cv = inst.coloring[u], inst.coloring[v]
+        if i == j or (cu == cv and inst.motif.count(cu) == 1):
+            continue
+        out.setdefault((i, j), set()).add((cu, cv))
     return out
+
+
+def _end_colors(
+    pairs: Set[Tuple[int, int]], side: int, other: Optional[int] = None
+) -> Set[int]:
+    """Colors end `side` (0 or 1) of a tree edge with color graph `pairs` can
+    take when its other end has color `other`, or any color if None."""
+    return {p[side] for p in pairs if other is None or p[1 - side] == other}
 
 
 def _try_family(
     inst: Instance,
     cliques: List[List[int]],
     family: Tuple[int, ...],
-    pair_edges: Dict[Tuple[int, int], List[Tuple[int, int]]],
+    pairs: ColorGraphs,
 ) -> Optional[SolveOutcome]:
     motif = inst.motif
     union = [v for i in family for v in cliques[i]]
@@ -100,40 +117,14 @@ def _try_family(
     if any(counts[c] < m for c, m in motif.multiplicities.items()):
         return None
 
-    k = len(family)
-    # Adjacency between family cliques; spanning trees must live inside it.
-    adj = {
-        (a, b)
-        for a in range(k)
-        for b in range(a + 1, k)
-        if (min(family[a], family[b]), max(family[a], family[b])) in pair_edges
+    # Color graphs of the family's adjacent pairs, by position in `family`;
+    # spanning trees must live inside them.
+    color_graphs = {
+        (a, b): pairs[(i, j)]
+        for (a, i), (b, j) in combinations(enumerate(family), 2)
+        if (i, j) in pairs
     }
-    meta = Graph(k, sorted(adj))
-    if len(connected_components(meta, range(k))) != 1:
-        return None
-
-    # Color graphs per adjacent pair: which endpoint colors admit a
-    # transversal edge.  A same-color pair is unusable when that color has
-    # multiplicity one in the motif.
-    color_graphs: Dict[Tuple[int, int], Set[Tuple[int, int]]] = {}
-    for a, b in adj:
-        i, j = family[a], family[b]
-        if i > j:
-            raise AssertionError("family indices are sorted")
-        pairs = set()
-        for u, v in pair_edges[(i, j)]:
-            cu, cv = inst.coloring[u], inst.coloring[v]
-            if cu == cv and motif.count(cu) == 1:
-                continue
-            pairs.add((cu, cv))
-        color_graphs[(a, b)] = pairs
-
-    for tree in iter_labeled_trees(k):
-        edges = sorted(tuple(sorted(e)) for e in tree)
-        if any(e not in adj for e in edges):
-            continue
-        if any(not color_graphs[e] for e in edges):
-            continue
+    for edges in iter_spanning_trees(len(family), color_graphs):
         outcome = _try_tree(inst, cliques, family, edges, color_graphs)
         if outcome is not None:
             return outcome
@@ -145,38 +136,25 @@ def _try_tree(
     cliques: List[List[int]],
     family: Tuple[int, ...],
     edges: List[TreeEdge],
-    color_graphs: Dict[TreeEdge, Set[Tuple[int, int]]],
+    color_graphs: ColorGraphs,
 ) -> Optional[SolveOutcome]:
-    k = len(family)
-    # Endpoint slots per clique side; sharing patterns identify slots whose
-    # transversal edges meet in a common vertex.
-    slots_by_clique: Dict[int, List[Tuple[TreeEdge, int]]] = {
-        a: [] for a in range(k)
-    }
+    # Endpoint slots (edge, side) per clique; sharing patterns group slots
+    # whose transversal edges meet in a common vertex.
+    slots: List[List[Tuple[TreeEdge, int]]] = [[] for _ in family]
     for e in edges:
-        slots_by_clique[e[0]].append((e, e[0]))
-        slots_by_clique[e[1]].append((e, e[1]))
-
-    per_clique_partitions = [
-        list(iter_set_partitions(slots_by_clique[a])) for a in range(k)
-    ]
-    for choice in product(*per_clique_partitions):
-        group_of: Dict[Tuple[TreeEdge, int], Group] = {}
+        for side in (0, 1):
+            slots[e[side]].append((e, side))
+    for choice in product(*map(iter_set_partitions, slots)):
+        # The groups of each tree edge's two ends, and each group's clique.
+        ends: Dict[TreeEdge, List[Group]] = {e: [0, 0] for e in edges}
         group_clique: List[int] = []
         for a, parts in enumerate(choice):
             for block in parts:
-                gid = len(group_clique)
+                for e, side in block:
+                    ends[e][side] = len(group_clique)
                 group_clique.append(a)
-                for slot in block:
-                    group_of[slot] = gid
         outcome = _search_colors(
-            inst,
-            cliques,
-            family,
-            edges,
-            color_graphs,
-            group_of,
-            group_clique,
+            inst, cliques, family, ends, color_graphs, group_clique
         )
         if outcome is not None:
             return outcome
@@ -187,55 +165,43 @@ def _search_colors(
     inst: Instance,
     cliques: List[List[int]],
     family: Tuple[int, ...],
-    edges: List[TreeEdge],
-    color_graphs: Dict[TreeEdge, Set[Tuple[int, int]]],
-    group_of: Dict[Tuple[TreeEdge, int], Group],
+    ends: Dict[TreeEdge, List[Group]],
+    color_graphs: ColorGraphs,
     group_clique: List[int],
 ) -> Optional[SolveOutcome]:
     motif = inst.motif
-    k = len(family)
-    abundance = max(1, 2 * k - 3)
+    abundance = max(1, 2 * len(family) - 3)
 
-    def feasible(fixed: Dict[Group, int]) -> bool:
-        return all(
-            cnt <= motif.count(c)
-            for c, cnt in Counter(fixed.values()).items()
-        )
-
-    def classify(e: TreeEdge, fixed: Dict[Group, int]):
-        gi, gj = group_of[(e, e[0])], group_of[(e, e[1])]
-        return gi, gj, gi in fixed, gj in fixed
+    def fix(fixed: Dict[Group, int], grp: Group, c: int) -> Optional[Dict[Group, int]]:
+        """`fixed` with group `grp` given color c, or None if that is one c
+        more than the motif has."""
+        if sum(x == c for x in fixed.values()) >= motif.count(c):
+            return None
+        return {**fixed, grp: c}
 
     def search(
         fixed: Dict[Group, int], resolved: Set[TreeEdge], abundant: Set[TreeEdge]
     ) -> Optional[SolveOutcome]:
-        if not feasible(fixed):
-            return None
-        pending = [e for e in edges if e not in resolved and e not in abundant]
-        for e in pending:
-            gi, gj, fi, fj = classify(e, fixed)
-            pairs = color_graphs[e]
-            if fi and fj:
-                if (fixed[gi], fixed[gj]) not in pairs:
-                    return None
-                return search(fixed, resolved | {e}, abundant)
-            if fi or fj:
-                if fi:
-                    choices = sorted({cj for ci, cj in pairs if ci == fixed[gi]})
-                    target = gj
-                else:
-                    choices = sorted({ci for ci, cj in pairs if cj == fixed[gj]})
-                    target = gi
-                if len(choices) >= abundance:
-                    return search(fixed, resolved, abundant | {e})
-                for c in choices:
-                    out = search({**fixed, target: c}, resolved, abundant)
-                    if out is not None:
-                        return out
+        e = next((e for e in ends if e not in resolved and e not in abundant), None)
+        if e is None:
+            # Every edge resolved or abundant: assign the remaining groups.
+            return finish(fixed)
+        g0, g1 = ends[e]
+        pairs = color_graphs[e]
+        if g0 in fixed and g1 in fixed:
+            if (fixed[g0], fixed[g1]) not in pairs:
                 return None
-            # Neither endpoint fixed: win/win on the color graph.
-            left = sorted({ci for ci, _ in pairs})
-            right = sorted({cj for _, cj in pairs})
+            return search(fixed, resolved | {e}, abundant)
+        if g0 in fixed or g1 in fixed:
+            side = 1 if g0 in fixed else 0
+            choices = sorted(_end_colors(pairs, side, fixed[ends[e][1 - side]]))
+            if len(choices) >= abundance:
+                return search(fixed, resolved, abundant | {e})
+            options = [(ends[e][side], c) for c in choices]
+        else:
+            # Neither end fixed: win/win on the color graph.
+            left = sorted(_end_colors(pairs, 0))
+            right = sorted(_end_colors(pairs, 1))
             li = {c: x for x, c in enumerate(left)}
             ri = {c: x for x, c in enumerate(right)}
             b = BipartiteGraph(
@@ -244,61 +210,46 @@ def _search_colors(
             result = max_matching_with_cover(b)
             if result.size >= abundance:
                 return search(fixed, resolved, abundant | {e})
-            options: List[Tuple[Group, int]] = []
-            options += [(gi, left[x]) for x in result.cover_left]
-            options += [(gj, right[x]) for x in result.cover_right]
-            for grp, c in options:
-                out = search({**fixed, grp: c}, resolved, abundant)
+            options = [(g0, left[x]) for x in result.cover_left]
+            options += [(g1, right[x]) for x in result.cover_right]
+        for grp, c in options:
+            new_fixed = fix(fixed, grp, c)
+            if new_fixed is not None:
+                out = search(new_fixed, resolved, abundant)
                 if out is not None:
                     return out
-            return None
-        # Every edge resolved or abundant: assign the remaining groups.
-        return _finish(fixed)
+        return None
 
-    def _finish(fixed: Dict[Group, int]) -> Optional[SolveOutcome]:
-        unfixed = [g for g in range(len(group_clique)) if g not in fixed]
-        incident: Dict[Group, List[Tuple[TreeEdge, int]]] = {
-            g: [] for g in range(len(group_clique))
-        }
-        for e in edges:
-            incident[group_of[(e, e[0])]].append((e, 0))
-            incident[group_of[(e, e[1])]].append((e, 1))
+    def finish(fixed: Dict[Group, int]) -> Optional[SolveOutcome]:
+        # Per group: (color graph, its side of the edge, the other end's group).
+        incident: List[List[Tuple[Set[Tuple[int, int]], int, Group]]] = [
+            [] for _ in group_clique
+        ]
+        for e, (g0, g1) in ends.items():
+            incident[g0].append((color_graphs[e], 0, g1))
+            incident[g1].append((color_graphs[e], 1, g0))
 
-        def assign(idx: int, fixed: Dict[Group, int]) -> Optional[SolveOutcome]:
-            if idx == len(unfixed):
-                return _extract(inst, cliques, family, edges, group_of,
-                                group_clique, fixed)
-            g = unfixed[idx]
-            a = group_clique[g]
-            colors = sorted({inst.coloring[v] for v in cliques[family[a]]})
-            for c in colors:
-                ok = True
-                for e, side in incident[g]:
-                    pairs = color_graphs[e]
-                    other = group_of[(e, e[1 - side])]
-                    if other in fixed:
-                        pair = (c, fixed[other]) if side == 0 else (fixed[other], c)
-                        if pair not in pairs:
-                            ok = False
-                            break
-                    else:
-                        if side == 0 and not any(ci == c for ci, _ in pairs):
-                            ok = False
-                            break
-                        if side == 1 and not any(cj == c for _, cj in pairs):
-                            ok = False
-                            break
-                if not ok:
+        def assign(
+            unfixed: List[Group], fixed: Dict[Group, int]
+        ) -> Optional[SolveOutcome]:
+            if not unfixed:
+                return _extract(inst, cliques, family, ends, group_clique, fixed)
+            g = unfixed[0]
+            clique = cliques[family[group_clique[g]]]
+            for c in sorted({inst.coloring[v] for v in clique}):
+                if any(
+                    c not in _end_colors(pairs, side, fixed.get(other))
+                    for pairs, side, other in incident[g]
+                ):
                     continue
-                new_fixed = {**fixed, g: c}
-                if not feasible(new_fixed):
-                    continue
-                out = assign(idx + 1, new_fixed)
-                if out is not None:
-                    return out
+                new_fixed = fix(fixed, g, c)
+                if new_fixed is not None:
+                    out = assign(unfixed[1:], new_fixed)
+                    if out is not None:
+                        return out
             return None
 
-        return assign(0, fixed)
+        return assign(sorted(set(range(len(group_clique))) - set(fixed)), fixed)
 
     return search({}, set(), set())
 
@@ -307,8 +258,7 @@ def _extract(
     inst: Instance,
     cliques: List[List[int]],
     family: Tuple[int, ...],
-    edges: List[TreeEdge],
-    group_of: Dict[Tuple[TreeEdge, int], Group],
+    ends: Dict[TreeEdge, List[Group]],
     group_clique: List[int],
     fixed: Dict[Group, int],
 ) -> Optional[SolveOutcome]:
@@ -317,8 +267,7 @@ def _extract(
     motif = inst.motif
     n_groups = len(group_clique)
     neighbors: Dict[Group, List[Group]] = {x: [] for x in range(n_groups)}
-    for e in edges:
-        a, b = group_of[(e, e[0])], group_of[(e, e[1])]
+    for a, b in ends.values():
         neighbors[a].append(b)
         neighbors[b].append(a)
 

@@ -245,6 +245,22 @@ class TestGenerateChain:
         code, _ = self.gen(tmp_path, "x3c-paths", "q 1\ns 0 1 2\n", flag, missing)
         assert code == EXIT_PARSE
         assert f"cannot write {missing}" in capsys.readouterr().err
+        # Neither the instance nor its certificate is left behind.
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["src.txt"]
+
+    @pytest.mark.parametrize("flag", ["-o", "--certificate"])
+    def test_failed_rename_leaves_no_file(self, tmp_path, capsys, flag):
+        # A directory in place of one output: its text is written to a
+        # temporary file, and only moving that into place fails.
+        target = tmp_path / "dir"
+        target.mkdir()
+        extra = [flag, str(target)]
+        if flag == "-o":
+            extra += ["--certificate", str(tmp_path / "c.cert")]
+        code, _ = self.gen(tmp_path, "x3c-paths", "q 1\ns 0 1 2\n", *extra)
+        assert code == EXIT_PARSE
+        assert f"cannot write {target}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "src.txt"]
 
 
 class TestParams:
@@ -353,6 +369,25 @@ class TestBench:
             ("brute", "CAP", "agree"),
             ("vc", "YES", "agree"),
         ]
+
+    def test_unparsable_file_is_err_not_fatal(self, tmp_path, capsys):
+        (tmp_path / "a.gm").write_text(YES_TEXT)
+        (tmp_path / "b.gm").write_text("p gm 1 0\nc 0 zz\n")
+        code = main(
+            ["bench", str(tmp_path), "--algo", "brute", "vc", "--timeout", "30"]
+        )
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        rows = [line.split() for line in captured.out.splitlines()[1:]]
+        assert [(r[0], r[1], r[2], r[4]) for r in rows] == [
+            ("a.gm", "brute", "YES", "agree"),
+            ("a.gm", "vc", "YES", "agree"),
+            ("b.gm", "brute", "ERR", "agree"),
+            ("b.gm", "vc", "ERR", "agree"),
+        ]
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {tmp_path / 'b.gm'}: line 2")
 
     def test_unknown_algo(self, tmp_path):
         (tmp_path / "a.gm").write_text(YES_TEXT)

@@ -1,16 +1,17 @@
 import math
 import sys
-from itertools import permutations
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motifkit.combinatorics import (
     BipartiteGraph,
-    iter_labeled_trees,
     iter_ordered_partitions,
     iter_set_partitions,
+    iter_spanning_trees,
     max_matching_with_cover,
 )
 from motifkit.core import InputError
@@ -69,17 +70,43 @@ class TestSetPartitions:
         assert sum(1 for _ in iter_set_partitions([0, 1, 2, 3], 2)) == stirling2(4, 2)
 
 
-class TestLabeledTrees:
+@st.composite
+def graphs(draw, max_n=7):
+    """A node count and a sorted edge list on those nodes."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [pair for pair, kept in zip(pairs, keep) if kept]
+
+
+class TestSpanningTrees:
     @pytest.mark.parametrize("k,count", [(1, 1), (2, 1), (3, 3), (4, 16), (5, 125)])
     def test_cayley_counts(self, k, count):
-        trees = list(iter_labeled_trees(k))
+        # On the complete graph K_k every labeled tree spans: k^(k-2) of them.
+        trees = list(iter_spanning_trees(k, combinations(range(k), 2)))
         assert len(trees) == count
-        assert len({frozenset(t) for t in trees}) == count
 
-    @given(st.integers(1, 6))
-    def test_every_output_is_a_tree(self, k):
-        for edges in iter_labeled_trees(k):
-            assert len(edges) == k - 1
+    @given(graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_count_is_matrix_tree_determinant(self, graph):
+        k, edges = graph
+        laplacian = np.zeros((k, k))
+        for u, v in edges:
+            laplacian[[u, v], [u, v]] += 1
+            laplacian[[u, v], [v, u]] -= 1
+        # Kirchhoff: any cofactor of the Laplacian counts the spanning trees.
+        expected = round(np.linalg.det(laplacian[1:, 1:]))
+        assert sum(1 for _ in iter_spanning_trees(k, edges)) == expected
+
+    @given(graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_every_output_is_a_distinct_spanning_tree(self, graph):
+        k, edges = graph
+        trees = list(iter_spanning_trees(k, reversed(edges)))
+        assert len({tuple(t) for t in trees}) == len(trees)
+        for tree in trees:
+            assert tree == sorted(tree) and set(tree) <= set(edges)
+            assert len(tree) == k - 1
             parent = list(range(k))
 
             def find(x):
@@ -88,10 +115,14 @@ class TestLabeledTrees:
                     x = parent[x]
                 return x
 
-            for u, v in edges:
+            for u, v in tree:
                 ru, rv = find(u), find(v)
-                assert ru != rv  # acyclic
+                assert ru != rv  # acyclic, so k - 1 edges span
                 parent[ru] = rv
+
+    def test_rejects_empty_graph(self):
+        with pytest.raises(InputError):
+            list(iter_spanning_trees(0, []))
 
 
 def exhaustive_max_matching(b: BipartiteGraph) -> int:

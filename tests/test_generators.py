@@ -135,9 +135,9 @@ class TestDomsetGadget:
         return Instance(Graph(n, edges), coloring, Motif(motif))
 
     def rooted_brute(self, inst, root):
-        from motifkit.solvers.brute import _connected_sets
+        from motifkit.solvers.common import iter_connected
 
-        for cand in _connected_sets(inst, inst.motif.total):
+        for cand in iter_connected(inst.graph.adjacency, inst.motif.total):
             if root in cand and verify_solution(inst, cand):
                 return True
         return False

@@ -34,8 +34,19 @@ from motifkit.solvers import (
 )
 from motifkit.csct import CsctInstance, solve_csct
 from motifkit.generators import SetSystem, gen_domset_reduction, gen_hitting_set_split
-from motifkit.solvers import dist_clique, max_leaf, vertex_cover
-from motifkit.solvers.common import iter_guesses, pick_by_colors, try_witness
+from motifkit.solvers import (
+    dist_clique,
+    edge_clique_cover,
+    max_leaf,
+    vertex_clique_cover,
+    vertex_cover,
+)
+from motifkit.solvers.common import (
+    iter_connected,
+    iter_guesses,
+    pick_by_colors,
+    try_witness,
+)
 
 
 def path_instance(colors, motif):
@@ -291,6 +302,35 @@ class TestIterGuesses:
             if all(supply[c] >= m for c, m in left.items())
         ]
         assert dict(supply) == before
+
+
+class TestIterConnected:
+    @given(instances(max_n=8), st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_filtered_combinations(self, inst, size):
+        g = inst.graph
+        got = [tuple(sorted(s)) for s in iter_connected(g.adjacency, size)]
+        assert len(set(got)) == len(got)
+        assert sorted(got) == [
+            s
+            for s in combinations(range(g.n), size)
+            if len(connected_components(g, s)) == 1
+        ]
+
+    @given(instances(max_n=8))
+    @settings(max_examples=300, deadline=None)
+    def test_color_fit_keep(self, inst):
+        g, motif = inst.graph, inst.motif
+
+        def fits(s):
+            return motif.contains(inst.coloring[v] for v in s)
+
+        got = iter_connected(g.adjacency, motif.total, fits)
+        assert sorted(tuple(sorted(s)) for s in got) == [
+            s
+            for s in combinations(range(g.n), motif.total)
+            if len(connected_components(g, s)) == 1 and fits(s)
+        ]
 
 
 def ref_solve_cycle(inst):
@@ -602,6 +642,82 @@ class TestGuessCounts:
         assert count_guesses(module, kernel, solve) == bounded
         with no_supply_bounds(module):
             assert count_guesses(module, kernel, solve) == unbounded
+
+
+def count_families(module, solve, sizes, joined):
+    """`_try_family` calls made by `solve()` on a NO instance, and how many
+    families of cliques there are, connected ones and all of them, over the
+    cliques each component's `_solve_connected` gets.
+
+    `sizes(inst, cliques)` gives the family sizes the solver enumerates, and
+    `joined(inst, a, b)` whether cliques a and b are adjacent.
+    """
+    with mock.patch.object(
+        module, "_try_family", wraps=module._try_family
+    ) as tries, mock.patch.object(
+        module, "_solve_connected", wraps=module._solve_connected
+    ) as components:
+        assert not solve().is_yes
+    connected = every = 0
+    for call in components.call_args_list:
+        inst, cliques = call.args
+        for size in sizes(inst, cliques):
+            for family in combinations(cliques, size):
+                meta = Graph(size, [
+                    (a, b)
+                    for a, b in combinations(range(size), 2)
+                    if joined(inst, family[a], family[b])
+                ])
+                connected += len(connected_components(meta, range(size))) == 1
+                every += 1
+    return tries.call_count, connected, every
+
+
+def usable_edge(inst, a, b):
+    """Whether an edge joins cliques a and b whose end colors can both be in
+    a solution: not one color of multiplicity one."""
+    colors, motif = inst.coloring, inst.motif
+    return any(
+        inst.graph.has_edge(u, v)
+        and (colors[u] != colors[v] or motif.count(colors[u]) > 1)
+        for u in a
+        for v in b
+    )
+
+
+# (module, solve, family sizes, clique adjacency, (calls, connected, all)).
+# All families is what the solvers tried before they enumerated connected
+# ones only.
+FAMILY_COUNTS = {
+    "ecc": (
+        edge_clique_cover,
+        lambda: solve_edge_clique_cover(
+            DOMSET_CLUSTER_P4.instance, DOMSET_CLUSTER_P4.instance.graph.edges()
+        ),
+        lambda inst, cliques: range(1, min(len(cliques), inst.motif.total - 1) + 1),
+        lambda inst, a, b: bool(set(a) & set(b)),
+        (870, 870, 35442),
+    ),
+    "vcc": (
+        vertex_clique_cover,
+        lambda: solve_vertex_clique_cover(
+            DOMSET_CLUSTER_P4.instance,
+            greedy_vertex_clique_cover(DOMSET_CLUSTER_P4.instance.graph),
+        ),
+        lambda inst, cliques: range(2, min(len(cliques), inst.motif.total) + 1),
+        usable_edge,
+        (15, 15, 26),
+    ),
+}
+
+
+class TestFamilyCounts:
+    @pytest.mark.parametrize("solver", sorted(FAMILY_COUNTS))
+    def test_only_connected_families_are_tried(self, solver):
+        module, solve, sizes, joined, counts = FAMILY_COUNTS[solver]
+        calls, connected, every = count_families(module, solve, sizes, joined)
+        assert calls == connected < every
+        assert (calls, connected, every) == counts
 
 
 X3C_Q5_SCRIPT = """
