@@ -6,6 +6,7 @@ Everything here is immutable after construction and safe to share.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -20,9 +21,9 @@ class CapacityError(RuntimeError):
 
 
 class Graph:
-    """Simple undirected graph with sorted, duplicate-free adjacency lists."""
+    """Simple undirected graph with sorted, duplicate-free adjacency rows."""
 
-    __slots__ = ("n", "adjacency", "_adj_sets")
+    __slots__ = ("n", "adjacency", "_masks")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
         if n < 0:
@@ -36,13 +37,31 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        self._adj_sets = adj
         self.adjacency: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in adj
         )
+        self._masks: Optional[Tuple[int, ...]] = None
+
+    @classmethod
+    def _from_rows(cls, n: int, rows: Tuple[Tuple[int, ...], ...]) -> "Graph":
+        """A graph from finished rows: sorted, duplicate-free and symmetric."""
+        g = cls.__new__(cls)
+        g.n, g.adjacency, g._masks = n, rows, None
+        return g
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj_sets[u]
+        row = self.adjacency[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
+
+    def neighbour_masks(self) -> Tuple[int, ...]:
+        """Bitmask of each vertex's neighbours: n^2 bits, built on first call."""
+        if self._masks is None:
+            bits = [1 << w for w in range(self.n)]
+            self._masks = tuple(
+                sum(map(bits.__getitem__, row)) for row in self.adjacency
+            )
+        return self._masks
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -57,29 +76,24 @@ class Graph:
         """Induced subgraph plus the old-id -> new-id map."""
         keep = sorted(set(vertices))
         remap = {v: i for i, v in enumerate(keep)}
-        edges = [
-            (remap[u], remap[v])
-            for u in keep
-            for v in self._adj_sets[u]
-            if v in remap and u < v
-        ]
-        return Graph(len(keep), edges), remap
+        rows = tuple(
+            tuple(remap[v] for v in self.adjacency[u] if v in remap) for u in keep
+        )
+        return Graph._from_rows(len(keep), rows), remap
 
     def complement(self) -> "Graph":
-        edges = [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if v not in self._adj_sets[u]
-        ]
-        return Graph(self.n, edges)
+        everyone = range(self.n)
+        rows = []
+        for u, row in enumerate(self.adjacency):
+            skip = {u, *row}
+            rows.append(tuple(v for v in everyone if v not in skip))
+        return Graph._from_rows(self.n, tuple(rows))
 
     def is_clique(self, vertices: Sequence[int]) -> bool:
-        vs = list(vertices)
-        return all(
-            self.has_edge(vs[i], vs[j])
-            for i in range(len(vs))
-            for j in range(i + 1, len(vs))
+        members = set(vertices)
+        k = len(vertices)
+        return len(members) == k and all(
+            len(members.intersection(self.adjacency[v])) == k - 1 for v in members
         )
 
     def __eq__(self, other) -> bool:
@@ -222,6 +236,16 @@ def connected_components(g: Graph, s: Iterable[int]) -> List[List[int]]:
     return comps
 
 
+# `parse_instance` tries `_read_blocks` on files whose header promises at
+# least this many edges.  Below it the reader's fixed NumPy cost, about
+# 0.2 ms, outweighs what it saves: the line parser takes 0.1 ms at 28 edges
+# and 0.55 ms at 300, the block reader 0.2 and 0.3 ms.
+BLOCK_READER_MIN_EDGES = 100
+
+# Maps the record tags to spaces, leaving only the integers of a block body.
+_BLANK_TAGS = bytes.maketrans(b"ecm", b"   ")
+
+
 def parse_instance(text: str) -> Instance:
     """Read the canonical line-oriented instance format.
 
@@ -229,6 +253,105 @@ def parse_instance(text: str) -> Instance:
     `m <color> <mult>` lines; `#` starts a comment.  Sparse external color
     ids are re-mapped to dense 0-based ids.
     """
+    return _read_blocks(text) or _parse_lines(text)
+
+
+def _read_blocks(
+    text: str, min_edges: int = BLOCK_READER_MIN_EDGES
+) -> Optional[Instance]:
+    """The instance in `text`, read a block at a time with NumPy, or None.
+
+    Reads only the layout `format_instance` writes: `#` lines, the header,
+    then the `e`, `c` and `m` blocks in that order, one record of at most
+    22 bytes per line, its tag and two integers apart by single spaces.
+    Returns None when the header promises fewer than `min_edges` edges and
+    on anything unexpected (another character, a count other than the
+    header's, an out-of-range vertex, a self-loop, a repeated `c` or `m`
+    record, a multiplicity below 1), so that `_parse_lines` reads the file
+    or reports its error.
+    """
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1
+        if start == 0:
+            return None
+    end = text.find("\n", start)
+    line = text[start:end]
+    head = line.split()
+    if (
+        end < 0
+        or len(text[:start].splitlines()) != text.count("\n", 0, start)
+        or not (line.isascii() and line.isprintable())
+        or len(head) != 4
+        or head[:2] != ["p", "gm"]
+        or not (head[2].isdigit() and head[3].isdigit())
+    ):
+        return None
+    n, m = int(head[2]), int(head[3])
+    if m < min_edges:
+        return None
+
+    import numpy as np
+
+    body = text[end + 1 :].encode()
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    if (
+        body.translate(None, b"0123456789 \necm")
+        or b"  " in body
+        or b" \n" in body
+        or len(body) - len(body.translate(None, b"ecm")) != body.count(b"\n")
+    ):
+        return None
+    # Each line starts with its tag, the only letter on it, and has two
+    # spaces, neither next to the other nor at its end: so at least two
+    # integers follow the tag, and the count of all of them rules out a third.
+    b = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(b == 10)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    records = len(ends)
+    kinds = b[starts]
+    ne, nc, nm = (int(np.count_nonzero(kinds == ord(t))) for t in "ecm")
+    if (
+        (ne, nc) != (m, n)
+        or nm == 0
+        or ne + nc + nm != records
+        or (kinds[:ne] != ord("e")).any()
+        or (kinds[ne : ne + nc] != ord("c")).any()
+        or (np.add.reduceat(b == 32, starts, dtype=np.intp) != 2).any()
+        # At most 22 bytes, so neither integer has more than 18 digits.
+        or (ends - starts > 22).any()
+    ):
+        return None
+    values = np.fromstring(body.translate(_BLANK_TAGS), dtype=np.int64, sep=" ")
+    if values.size != 2 * records:
+        return None
+    e_rec, c_rec, m_rec = np.split(values.reshape(records, 2), [ne, ne + nc])
+    u, v = e_rec.T
+    if (
+        (e_rec >= n).any()
+        or (u == v).any()
+        or (c_rec[:, 0] >= n).any()
+        or not (np.bincount(c_rec[:, 0], minlength=n) == 1).all()
+        or (m_rec[:, 1] < 1).any()
+    ):
+        return None
+    colors, mults = dict(c_rec.tolist()), dict(m_rec.tolist())
+    if len(mults) != nm:
+        return None
+
+    # Both directions of every edge as one sorted, duplicate-free key list.
+    keys = np.concatenate((u * n + v, v * n + u))
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    cuts = [0, *np.searchsorted(keys, np.arange(1, n + 1) * n).tolist()]
+    nbrs = tuple((keys % n).tolist())
+    rows = tuple(nbrs[a:z] for a, z in zip(cuts, cuts[1:]))
+    return Instance(Graph._from_rows(n, rows), *_dense_colors(n, colors, mults))
+
+
+def _parse_lines(text: str) -> Instance:
+    """The line parser: reads any valid file and names each error's line."""
     header: Optional[Tuple[int, int]] = None
     edges: List[Tuple[int, int]] = []
     colors: Dict[int, int] = {}
@@ -278,10 +401,17 @@ def parse_instance(text: str) -> Instance:
         raise InputError("every vertex 0..n-1 needs exactly one 'c' line")
     if len(edges) != m:
         raise InputError(f"header promises {m} edges, found {len(edges)}")
+    coloring, motif = _dense_colors(n, colors, mults)
+    return Instance(Graph(n, edges), coloring, motif)
+
+
+def _dense_colors(
+    n: int, colors: Dict[int, int], mults: Dict[int, int]
+) -> Tuple[Tuple[int, ...], Motif]:
+    """The coloring and motif with colour ids re-mapped to dense 0-based ids."""
     dense = {c: i for i, c in enumerate(sorted(set(colors.values()) | set(mults)))}
     coloring = tuple(dense[colors[v]] for v in range(n))
-    motif = Motif({dense[c]: mult for c, mult in mults.items()})
-    return Instance(Graph(n, edges), coloring, motif)
+    return coloring, Motif({dense[c]: mult for c, mult in mults.items()})
 
 
 def format_instance(inst: Instance, comment: str = "") -> str:

@@ -10,12 +10,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from .core import Graph, InputError, connected_components
 
 
-def _neighbour_masks(g: Graph) -> List[int]:
-    """Bitmask of each vertex's neighbours."""
-    bits = [1 << w for w in range(g.n)]
-    return [sum(map(bits.__getitem__, adj)) for adj in g.adjacency]
-
-
 def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
@@ -39,7 +33,7 @@ def _deepen(
     raise AssertionError("unreachable")
 
 
-def _min_cover(nbr: List[int], limit: Optional[int]) -> Optional[Set[int]]:
+def _min_cover(nbr: Sequence[int], limit: Optional[int]) -> Optional[Set[int]]:
     """Minimum vertex cover of the graph with neighbour masks `nbr`.
 
     Bits of nbr[u] at or below u are ignored.  Each branch node covers, in
@@ -82,17 +76,17 @@ def min_vertex_cover(g: Graph, limit: Optional[int] = None) -> Optional[Set[int]
     With a limit, gives up and returns None once the minimum provably
     exceeds it (used for cheap parameter probing).
     """
-    return _min_cover(_neighbour_masks(g), limit)
+    return _min_cover(g.neighbour_masks(), limit)
 
 
 def dist_to_clique_set(g: Graph, limit: Optional[int] = None) -> Optional[Set[int]]:
     """Minimum set whose removal leaves a clique: vertex cover of the complement."""
     full = (1 << g.n) - 1
-    return _min_cover([full ^ mask for mask in _neighbour_masks(g)], limit)
+    return _min_cover([full ^ mask for mask in g.neighbour_masks()], limit)
 
 
 def _next_co_p3(
-    nbr: List[int], alive: int, start: int = 0
+    nbr: Sequence[int], alive: int, start: int = 0
 ) -> Optional[Tuple[int, int, int]]:
     """The first co-P3 (u, v, w) inside the vertex set `alive`.
 
@@ -115,7 +109,7 @@ def _next_co_p3(
 
 def _find_co_p3(g: Graph) -> Optional[Tuple[int, int, int]]:
     """An induced edge-plus-isolated-vertex triple, if one exists."""
-    return _next_co_p3(_neighbour_masks(g), (1 << g.n) - 1)
+    return _next_co_p3(g.neighbour_masks(), (1 << g.n) - 1)
 
 
 def dist_to_co_cluster_set(
@@ -128,7 +122,7 @@ def dist_to_co_cluster_set(
     parent's u.  With a limit, returns None once the minimum provably
     exceeds it.
     """
-    nbr = _neighbour_masks(g)
+    nbr = g.neighbour_masks()
     full = (1 << g.n) - 1
     # Disjoint co-P3s need a deleted vertex each: a greedy packing is a bound.
     alive, lower, bad = full, 0, _next_co_p3(nbr, full)
@@ -166,7 +160,7 @@ def co_cluster_classes(g: Graph) -> List[List[int]]:
     if not is_co_cluster(g):
         raise InputError("graph is not a co-cluster")
     classes: Dict[int, List[int]] = {}
-    for v, mask in enumerate(_neighbour_masks(g)):
+    for v, mask in enumerate(g.neighbour_masks()):
         classes.setdefault(_lowest(~mask), []).append(v)
     return list(classes.values())
 
@@ -249,9 +243,12 @@ def greedy_vertex_clique_cover(g: Graph) -> List[List[int]]:
     while remaining:
         v = min(remaining)
         clique = [v]
-        for u in sorted(remaining):
-            if u != v and all(g.has_edge(u, w) for w in clique):
+        # The vertices adjacent to every member so far.
+        common = remaining.intersection(g.adjacency[v])
+        for u in sorted(common):
+            if u in common:
                 clique.append(u)
+                common.intersection_update(g.adjacency[u])
         remaining -= set(clique)
         cover.append(sorted(clique))
     return cover

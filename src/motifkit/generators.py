@@ -234,7 +234,8 @@ def _check(condition: bool, claim: str) -> None:
 
 
 def _independent(g: Graph, vertices: Sequence[int]) -> bool:
-    return not any(g.has_edge(u, v) for u, v in combinations(vertices, 2))
+    members = set(vertices)
+    return all(members.isdisjoint(g.adjacency[v]) for v in members)
 
 
 def _is_path_component(g: Graph, comp: Sequence[int]) -> bool:

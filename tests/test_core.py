@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motifkit.core import (
+    BLOCK_READER_MIN_EDGES,
     Graph,
     InputError,
     Instance,
@@ -19,6 +20,8 @@ from motifkit.core import (
     restrict,
     verify_solution,
     witness_failure,
+    _parse_lines,
+    _read_blocks,
 )
 from motifkit.generators import X3cInstance, gen_x3c_paths
 
@@ -30,6 +33,19 @@ def graphs(max_n=10):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         return Graph(n, edges)
+
+    return build()
+
+
+def instances(max_n=8):
+    @st.composite
+    def build(draw):
+        g = draw(graphs(max_n))
+        coloring = draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+        mults = draw(
+            st.dictionaries(st.integers(0, 4), st.integers(1, 3), min_size=1, max_size=3)
+        )
+        return Instance(g, tuple(coloring), Motif(mults))
 
     return build()
 
@@ -254,8 +270,127 @@ class TestFileFormat:
             parse_instance("p gm 1000000000 0\n")
         assert time.perf_counter() - start < 0.5
 
+    def test_huge_header_with_many_edges_rejected_without_allocating(self):
+        edges = "e 0 1\n" * BLOCK_READER_MIN_EDGES
+        start = time.perf_counter()
+        with pytest.raises(InputError):
+            parse_instance(f"p gm 1000000000 {BLOCK_READER_MIN_EDGES}\n{edges}c 0 0\n")
+        assert time.perf_counter() - start < 0.5
+
     def test_witness_round_trip(self):
         assert parse_witness(format_witness([3, 1, 2])) == [1, 2, 3]
         assert parse_witness("1 2 # comment\n3") == [1, 2, 3]
         with pytest.raises(InputError):
             parse_witness("1 x")
+
+
+def _at_line(edit):
+    """Apply `edit(line, n)`, which returns replacement lines, to line i."""
+    return lambda lines, i, n: lines[:i] + edit(lines[i], n) + lines[i + 1 :]
+
+
+# Edits of a formatted instance's lines: (lines, index of a body line, n).
+MUTATIONS = {
+    "drop token": _at_line(lambda line, n: [line.rsplit(" ", 1)[0]]),
+    "extra token": _at_line(lambda line, n: [line + " 7"]),
+    "comment": _at_line(lambda line, n: [line + " # note"]),
+    "tab": _at_line(lambda line, n: [line.replace(" ", "\t", 1)]),
+    "crlf": _at_line(lambda line, n: [line + "\r"]),
+    "letter suffix": _at_line(lambda line, n: [line + "c"]),
+    "glued tag": _at_line(lambda line, n: [line[:1] + line[2:] + " 7"]),
+    "tag second": _at_line(lambda line, n: [re.sub(r"^(\S+) (\S+)", r"\2 \1", line)]),
+    "negative": _at_line(lambda line, n: [re.sub(r"(\d+)$", r"-\1", line)]),
+    "leading space": _at_line(lambda line, n: [" " + line]),
+    "leading zeros": _at_line(lambda line, n: [re.sub(r" (\d)", r" 00\1", line, 1)]),
+    "huge integer": _at_line(lambda line, n: [re.sub(r"\d+$", "9" * 30, line)]),
+    "first field 0": _at_line(lambda line, n: [re.sub(r"^(\S+ )\d+", r"\g<1>0", line)]),
+    "split line": _at_line(lambda line, n: line.rsplit(" ", 1)),
+    "blank line": _at_line(lambda line, n: ["", line]),
+    "repeat": _at_line(lambda line, n: [line, line]),
+    "self-loop": _at_line(lambda line, n: [f"e {n - 1} {n - 1}", line]),
+    "out of range": _at_line(lambda line, n: [f"e 0 {n}", line]),
+    "second header": _at_line(lambda line, n: [f"p gm {n} 0", line]),
+    "joined lines": lambda ls, i, n: ls[:i] + [" ".join(ls[i : i + 2])] + ls[i + 2 :],
+    "out of order": lambda ls, i, n: ls[:i] + ls[-1:] + ls[i:-1],
+    "break in comment": lambda ls, i, n: [ls[0] + "\v" + ls[1]] + ls[1:],
+    "header break": lambda ls, i, n: ls[:1] + [ls[1].replace(" ", "\v", 1)] + ls[2:],
+}
+
+
+def check_block_reader(text):
+    """The block reader declines or agrees with the line parser, and
+    `parse_instance` returns or raises what the line parser does."""
+    got = _read_blocks(text, min_edges=0)
+    try:
+        want = _parse_lines(text)
+    except InputError as err:
+        assert got is None
+        with pytest.raises(InputError, match=f"^{re.escape(str(err))}$"):
+            parse_instance(text)
+        return None
+    assert got is None or got == want
+    assert parse_instance(text) == want
+    return got
+
+
+class TestBlockReader:
+    @given(instances())
+    def test_reads_what_format_instance_writes(self, inst):
+        assert check_block_reader(format_instance(inst, comment="block reader"))
+
+    @given(instances())
+    def test_crlf_file_is_left_to_the_line_parser(self, inst):
+        text = format_instance(inst).replace("\n", "\r\n")
+        assert check_block_reader(text) is None
+
+    @pytest.mark.parametrize("edit", sorted(MUTATIONS))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        instances(),
+        st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=1),
+        st.booleans(),
+        st.data(),
+    )
+    def test_declines_or_agrees_after_edits(self, edit, inst, more, recount, data):
+        """`recount` makes the header's edge count match the edited text."""
+        lines = format_instance(inst, comment="block reader").splitlines()
+        for name in [edit, *more]:
+            i = data.draw(st.integers(2, len(lines) - 1))
+            lines = MUTATIONS[name](lines, i, inst.graph.n)
+        if recount:
+            edges = sum(line[:1] == "e" for line in lines)
+            lines[1] = f"{lines[1].rsplit(' ', 1)[0]} {edges}"
+        check_block_reader("\n".join(lines) + "\n")
+
+    # Out of block order, a misplaced tag or a field moved to another line,
+    # yet every count and range check passes; no motif; a vertex id that
+    # must not size an allocation.
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p gm 3 1\nc 0 1\nc 1 2\nc 2 0\ne 0 2\nm 0 1\n",
+            "p gm 2 1\ne 0 1\nm 1 2\nc 0 2\nc 1 1\n",
+            "p gm 3 1\nm 0 2\nc 0 0\nc 1 0\nc 2 1\ne 1 2\n",
+            "p gm 1 0\nc 0 0\nm 0 1\n0 m 1\n",
+            "p gm 2 1\ne 0 1\nc0 0 1\nc  1\nm 0 1\n",
+            "p gm 2 1\ne 0 1\nc0 0 1\nc 1 \nm 0 1\n",
+            "p gm 2 1\ne 0 1\nc 0 0\nc 999999999999999999 0\nm 0 1\n",
+            "p gm 2 1\ne 0 1\nc 0 0\nc 1 0\n",
+        ],
+    )
+    def test_declines_blocks_out_of_order_or_missing(self, text):
+        assert check_block_reader(text) is None
+
+    @pytest.mark.parametrize("text", list(MALFORMED))
+    def test_declines_malformed(self, text):
+        check_block_reader(text)
+
+    def test_reads_duplicate_edges_once(self):
+        text = "p gm 2 3\ne 0 1\ne 1 0\ne 0 1\nc 0 0\nc 1 5\nm 5 1\nm 0 1\n"
+        got = check_block_reader(text)
+        assert got is not None and got.graph.adjacency == ((1,), (0,))
+
+    def test_header_below_threshold_is_left_to_the_line_parser(self):
+        text = format_instance(Instance(Graph(2, [(0, 1)]), (0, 0), Motif({0: 2})))
+        assert _read_blocks(text) is None
+        assert _read_blocks(text, min_edges=1) is not None

@@ -1,7 +1,11 @@
-"""Every name a motifkit module imports is used in that module, and every
-function, class and method the package defines is used somewhere in it."""
+"""Every name a motifkit module imports is used in that module, every
+function, class and method the package defines is used somewhere in it, and
+the modules that build corpora do not load NumPy."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -123,3 +127,17 @@ def test_allowlist_names_existing_definitions():
         for qualname, _ in definitions(ast.parse(path.read_text()))
     }
     assert set(USED_FROM_OUTSIDE) <= defined
+
+
+def test_core_and_generators_do_not_load_numpy():
+    # Importing NumPy takes about 0.1 s, more than building a small corpus.
+    code = "import sys, motifkit.core, motifkit.generators; print('numpy' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "False\n"
