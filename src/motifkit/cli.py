@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import signal
 import sys
@@ -445,7 +446,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `main` may run many
+    times in one (perfbench's worker, the tests, library callers)."""
     parser = argparse.ArgumentParser(
         prog="motifkit",
         description="Exact solvers and hard-instance generators for Graph Motif.",

@@ -7,7 +7,7 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -213,26 +213,27 @@ def verify_solution(inst: Instance, r: Iterable[int]) -> bool:
 
 def connected_components(g: Graph, s: Iterable[int]) -> List[List[int]]:
     """Components of G[s], each sorted, ordered by smallest vertex id."""
-    inside = set(s)
-    for v in inside:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} out of range")
-    seen: set = set()
+    unseen = set(s)
+    if unseen and (min(unseen) < 0 or max(unseen) >= g.n):
+        bad = next(v for v in unseen if not 0 <= v < g.n)
+        raise InputError(f"vertex {bad} out of range")
     comps: List[List[int]] = []
-    for start in sorted(inside):
-        if start in seen:
+    for start in sorted(unseen):
+        if start not in unseen:
             continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in g.adjacency[u]:
-                if w in inside and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
+        unseen.remove(start)
+        comp = [start]
+        # A breadth-first search: the loop reaches what is appended to comp.
+        # Once every vertex of s is placed, the rows left have nothing new.
+        for u in comp:
+            if not unseen:
+                break
+            fresh = unseen.intersection(g.adjacency[u])
+            if fresh:
+                unseen -= fresh
+                comp.extend(fresh)
+        comp.sort()
+        comps.append(comp)
     return comps
 
 

@@ -3,6 +3,8 @@ decompositions and clique-cover validation."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -33,18 +35,17 @@ def _deepen(
     raise AssertionError("unreachable")
 
 
-def _min_cover(nbr: Sequence[int], limit: Optional[int]) -> Optional[Set[int]]:
-    """Minimum vertex cover of the graph with neighbour masks `nbr`.
+def _min_cover(nbr: Sequence[int]) -> Callable[[int], Optional[int]]:
+    """Search for a vertex cover of the graph with neighbour masks `nbr`.
 
-    Bits of nbr[u] at or below u are ignored.  Each branch node covers, in
-    turn, u and v of the first uncovered edge (u, v), u < v, taken u
-    ascending then v ascending.  Covered vertices only accumulate down a
-    branch, so a child resumes the scan at its parent's u.
+    Returns attempt(budget): the mask of the first cover of at most budget
+    vertices, or None.  Bits of nbr[u] at or below u are ignored.  Each
+    branch node covers, in turn, u and v of the first uncovered edge (u, v),
+    u < v, taken u ascending then v ascending.  Covered vertices only
+    accumulate down a branch, so a child resumes the scan at its parent's u.
     """
     up = [(u, mask >> (u + 1) << (u + 1)) for u, mask in enumerate(nbr)]
     up = [pair for pair in up if pair[1]]
-    if not up:
-        return set()
     # Disjoint edges need a cover vertex each: a greedy matching is a bound.
     matched = lower = 0
     for u, mask in up:
@@ -67,22 +68,80 @@ def _min_cover(nbr: Sequence[int], limit: Optional[int]) -> Optional[Set[int]]:
                 return None
         return covered
 
-    return _deepen(len(nbr), limit, lambda k: branch(0, 0, k), lower)
+    return lambda budget: None if budget < lower else branch(0, 0, budget)
+
+
+def _buss_cover(
+    g: Graph, complement: bool, limit: Optional[int]
+) -> Optional[Set[int]]:
+    """Minimum vertex cover of g, or of its complement, kernel first.
+
+    Tries k = 0, 1, ... up to n or the limit (Buss's rule).  A vertex of
+    degree > k is in every cover of at most k vertices, so the f such
+    vertices are forced, and f > k fails at once.  What is left has degrees
+    of at most k, so k - f vertices cover at most (k - f) * k of its edges.
+    Otherwise `_min_cover` branches on the kernel, the vertices that still
+    touch an edge, with budget exactly k - f: smaller k failed, so the
+    kernel has no smaller cover.  Only the kernel gets bitmasks, built again
+    only when the forced set changes.  Degrees come from row lengths, and
+    the edges the forced vertices cover from their rows alone.  The cover
+    found is the one the same branching finds over the whole graph.
+    """
+    n, rows = g.n, g.adjacency
+    degree = [n - 1 - len(row) if complement else len(row) for row in rows]
+    edges = sum(degree) // 2
+    ascending = sorted(degree)
+    by_degree = sorted(range(n), key=degree.__getitem__, reverse=True)
+    cap = n if limit is None else min(limit, n)
+    known = -1  # the f whose forced set the variables below describe
+    for k in range(cap + 1):
+        f = n - bisect_right(ascending, k)
+        if f > k:
+            continue
+        if f != known:
+            known, forced, attempt = f, by_degree[:f], None
+            # hits[v]: how many forced vertices are v's neighbours in g.
+            hits = Counter(w for u in forced for w in rows[u])
+            inside = sum(hits[u] for u in forced)  # twice the g-edges among them
+            if complement:
+                inside = f * (f - 1) - inside
+            left = edges - sum(degree[u] for u in forced) + inside // 2
+        if left > (k - f) * k:
+            continue
+        if attempt is None:
+            fset = set(forced)
+            kernel = [
+                v
+                for v in range(n)
+                if v not in fset
+                and degree[v] > (f - hits[v] if complement else hits[v])
+            ]
+            bits = {v: 1 << i for i, v in enumerate(kernel)}
+            masks = [sum(map(bits.__getitem__, bits.keys() & rows[v])) for v in kernel]
+            if complement:
+                everyone = (1 << len(kernel)) - 1
+                masks = [everyone ^ mask ^ bits[v] for v, mask in zip(kernel, masks)]
+            attempt = _min_cover(masks)
+        found = attempt(k - f)
+        if found is not None:
+            return {*forced, *(v for i, v in enumerate(kernel) if found >> i & 1)}
+    if limit is not None:
+        return None
+    raise AssertionError("unreachable")
 
 
 def min_vertex_cover(g: Graph, limit: Optional[int] = None) -> Optional[Set[int]]:
-    """A minimum vertex cover by iterative-deepening 2-way edge branching.
+    """A minimum vertex cover: Buss's kernel, then 2-way edge branching.
 
     With a limit, gives up and returns None once the minimum provably
     exceeds it (used for cheap parameter probing).
     """
-    return _min_cover(g.neighbour_masks(), limit)
+    return _buss_cover(g, False, limit)
 
 
 def dist_to_clique_set(g: Graph, limit: Optional[int] = None) -> Optional[Set[int]]:
     """Minimum set whose removal leaves a clique: vertex cover of the complement."""
-    full = (1 << g.n) - 1
-    return _min_cover([full ^ mask for mask in g.neighbour_masks()], limit)
+    return _buss_cover(g, True, limit)
 
 
 def _next_co_p3(

@@ -39,13 +39,13 @@ def _solve_connected(inst: Instance, s: Set[int]) -> SolveOutcome:
         if outcome is not None:
             return outcome
 
-    # Per-vertex adjacency into S as a bitmask, for fast set construction.
+    # Per-vertex adjacency into S as a bitmask, for fast set construction,
+    # filled from S's side: only S's rows are walked.
     s_index = {v: i for i, v in enumerate(s_list)}
     nbr_mask = [0] * g.n
-    for v in clique:
-        for u in g.adjacency[v]:
-            if u in s_index:
-                nbr_mask[v] |= 1 << s_index[u]
+    for u, i in s_index.items():
+        for v in g.adjacency[u]:
+            nbr_mask[v] |= 1 << i
     # The clique part has exactly the colors a guess leaves over.
     supply = Counter(inst.coloring[v] for v in clique)
 

@@ -4,8 +4,9 @@ Each is exponential and meant for small inputs: the solvers are checked
 against them, so they stay out of the package.
 """
 
+from collections import deque
 from itertools import combinations
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 from motifkit.core import CapacityError, Graph, InputError, connected_components
 from motifkit.csct import CsctInstance, CsctSolution
@@ -30,6 +31,28 @@ def check_csct_solution(inst: CsctInstance, sol: CsctSolution) -> bool:
     if covered != set(range(inst.n)):
         return False
     return all(cnt <= inst.thresholds[c] for c, cnt in used.items())
+
+
+def components_oracle(g: Graph, s: Iterable[int]) -> List[List[int]]:
+    """Components of G[s] by a breadth-first search from each unseen vertex,
+    in increasing order, testing every row entry for membership."""
+    inside = set(s)
+    seen = set()
+    comps = []
+    for start in sorted(inside):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, queue = [], deque([start])
+        while queue:
+            u = queue.popleft()
+            comp.append(u)
+            for w in g.adjacency[u]:
+                if w in inside and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        comps.append(sorted(comp))
+    return comps
 
 
 def max_leaf_oracle(g: Graph) -> int:

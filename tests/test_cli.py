@@ -396,6 +396,26 @@ class TestBench:
         assert exc.value.code == EXIT_PARSE
 
 
+class TestManyCallsInOneProcess:
+    def test_repeated_call_is_unchanged(self, yes_file, tmp_path, capsys):
+        # The parser is built once per process and shared by every call.
+        def run(*argv):
+            code = main(list(argv))
+            return code, capsys.readouterr().out
+
+        first = run("solve", yes_file, "--algo", "vc")
+        assert run("solve", yes_file)[0] == EXIT_YES
+        bench_dir = tmp_path / "bench"
+        bench_dir.mkdir()
+        (bench_dir / "a.gm").write_text(YES_TEXT)
+        code, out = run("bench", str(bench_dir), "--timeout", "30")
+        assert code == EXIT_YES
+        assert [line.split()[1] for line in out.splitlines()[1:]] == ["brute", "vc"]
+        assert run("solve", yes_file, "--algo", "vc") == first
+        assert cli.build_parser() is cli.build_parser()
+        assert cli.build_parser().parse_args(["bench", "d"]).algo == ["brute", "vc"]
+
+
 class TestSourceGrammars:
     def test_x3c_multiple_instances(self):
         sources = parse_x3c_sources("q 1\ns 0 1 2\nq 1\n")

@@ -24,6 +24,7 @@ from motifkit.core import (
     _read_blocks,
 )
 from motifkit.generators import X3cInstance, gen_x3c_paths
+from oracles import components_oracle
 
 
 def graphs(max_n=10):
@@ -35,6 +36,17 @@ def graphs(max_n=10):
         return Graph(n, edges)
 
     return build()
+
+
+@st.composite
+def graphs_and_vertex_lists(draw, max_n=12):
+    """A graph of any density and a list of its vertices, unsorted and with
+    repeats."""
+    n = draw(st.integers(0, max_n))
+    p = draw(st.floats(0.0, 1.0))
+    rnd = draw(st.randoms(use_true_random=False))
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < p])
+    return g, (draw(st.lists(st.integers(0, n - 1))) if n else [])
 
 
 def instances(max_n=8):
@@ -177,6 +189,23 @@ class TestConnectedComponents:
     def test_triangle_whole(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         assert connected_components(g, range(3)) == [[0, 1, 2]]
+
+    @given(graphs_and_vertex_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_bfs(self, case):
+        g, vertices = case
+        comps = connected_components(g, vertices)
+        assert comps == components_oracle(g, vertices)
+        assert all(comp == sorted(comp) for comp in comps)
+        assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
+
+    @given(graphs_and_vertex_lists(), st.sampled_from([-1, 0, 1, 5]))
+    @settings(max_examples=100, deadline=None)
+    def test_out_of_range_vertex_raises(self, case, beyond):
+        g, vertices = case
+        bad = -1 if beyond < 0 else g.n + beyond
+        with pytest.raises(InputError, match=f"vertex {bad} out of range"):
+            connected_components(g, [*vertices, bad])
 
 
 class TestPruneWrongColors:

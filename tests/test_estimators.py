@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -78,6 +79,33 @@ class TestMinVertexCover:
         g = Graph(6, [(0, 1), (2, 3), (4, 5)])  # minimum cover is 3
         assert min_vertex_cover(g, limit=2) is None
         assert min_vertex_cover(g, limit=3) is not None
+
+
+def clique_with_extras(clique_n, k, seed):
+    """A clique on 0..clique_n-1 plus k pairwise non-adjacent extra vertices,
+    each adjacent to 3 clique vertices (criterion 8's graph at 200, 12, 1008).
+    The extras are the only minimum set whose removal leaves a clique."""
+    rng = random.Random(seed)
+    edges = list(combinations(range(clique_n), 2))
+    for v in range(clique_n, clique_n + k):
+        edges.extend((u, v) for u in rng.sample(range(clique_n), 3))
+    return Graph(clique_n + k, edges)
+
+
+class TestBussKernel:
+    def test_clique_plus_extras_builds_no_masks(self):
+        g = clique_with_extras(600, 10, 1)
+        assert dist_to_clique_set(g) == set(range(600, 610))
+        assert g._masks is None
+
+    def test_star_centre_is_forced(self):
+        g = Graph(51, [(0, v) for v in range(1, 51)])
+        assert min_vertex_cover(g, limit=1) == {0}
+
+    def test_criterion_8_graph(self):
+        g = clique_with_extras(200, 12, 1008)
+        assert dist_to_clique_set(g, 10) is None
+        assert dist_to_clique_set(g) == set(range(200, 212))
 
 
 class TestDistToClique:

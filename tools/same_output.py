@@ -16,9 +16,12 @@ each side, one subprocess per cell with a time limit of S seconds (default 5):
 A cell is identical when both sides finish with the same stdout, stderr and
 exit code.  The script prints how many cells are identical, how many differ
 and how many timed out on one side or on both, and names every cell that
-differs or timed out on one side only.  It exits 1 if a workload's corpus
-hash differs between the sides or any cell finished on both sides with
-different output, 0 otherwise.
+differs or timed out on one side only; for the latter it gives the seconds
+the other side took.  A cell is also counted, and named with both sides'
+seconds, as `near limit` when a side finished but took more than half the
+limit: such a cell can time out on either side from one run to the next.
+It exits 1 if a workload's corpus hash differs between the sides or any
+cell finished on both sides with different output, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,8 +72,10 @@ def build_corpora(src: Path, seed: int, out: Path) -> dict:
 
 
 def solve(src: Path, path: Path, argv: list, limit: float, cwd: str):
-    """(exit code, stdout, stderr) of one solve, or None if it timed out."""
+    """((exit code, stdout, stderr), seconds) of one solve; (None, None) if
+    it timed out."""
     env = dict(os.environ, PYTHONPATH=str(src))
+    start = time.perf_counter()
     try:
         done = subprocess.run(
             [sys.executable, "-m", "motifkit.cli", "solve", str(path), *argv],
@@ -80,8 +86,12 @@ def solve(src: Path, path: Path, argv: list, limit: float, cwd: str):
             cwd=cwd,
         )
     except subprocess.TimeoutExpired:
-        return None
-    return done.returncode, done.stdout, done.stderr
+        return None, None
+    return (done.returncode, done.stdout, done.stderr), time.perf_counter() - start
+
+
+def _took(seconds) -> str:
+    return "timeout" if seconds is None else f"{seconds:.2f} s"
 
 
 def main(argv=None) -> int:
@@ -96,7 +106,13 @@ def main(argv=None) -> int:
         if not (src / "motifkit" / "__init__.py").is_file():
             parser.error(f"no motifkit package under {src}")
 
-    counts = {"identical": 0, "differ": 0, "timeout one side": 0, "timeout both": 0}
+    counts = {
+        "identical": 0,
+        "differ": 0,
+        "timeout one side": 0,
+        "timeout both": 0,
+        "near limit": 0,
+    }
     with tempfile.TemporaryDirectory(prefix="same-output-") as tmp:
         corpora = Path(tmp) / "parent"
         hashes = [
@@ -110,16 +126,20 @@ def main(argv=None) -> int:
         for workload, algo_args in CELLS.items():
             for path in sorted((corpora / workload).glob("*.gm")):
                 for cell_argv in algo_args:
-                    parent, change = [
+                    (parent, parent_s), (change, change_s) = [
                         solve(src, path, cell_argv, args.limit, tmp) for src in sides
                     ]
                     cell = f"{workload}/{path.name} {' '.join(cell_argv) or 'auto'}"
+                    took = f"parent {_took(parent_s)}, change {_took(change_s)}"
+                    if max(parent_s or 0, change_s or 0) > args.limit / 2:
+                        counts["near limit"] += 1
+                        print(f"near limit: {cell} ({took})")
                     if parent is None and change is None:
                         counts["timeout both"] += 1
                     elif parent is None or change is None:
                         counts["timeout one side"] += 1
                         side = "parent" if parent is None else "change"
-                        print(f"timeout on {side} only: {cell}")
+                        print(f"timeout on {side} only: {cell} ({took})")
                     elif parent == change:
                         counts["identical"] += 1
                     else:
