@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import InputError
 
@@ -42,15 +42,21 @@ def iter_set_partitions(items: Sequence, parts: int | None = None) -> Iterator[L
     yield from rec(0, [], 0)
 
 
-def iter_ordered_partitions(items: Sequence, parts: int) -> Iterator[List[List]]:
+def iter_ordered_partitions(
+    items: Sequence, parts: int, keep: Optional[Callable[[List[List]], bool]] = None
+) -> Iterator[List[List]]:
     """All ordered partitions of items into exactly `parts` nonempty blocks.
 
     Every surjective assignment appears exactly once: l! * S(n, l) results.
+    With `keep`, a set partition it rejects yields none of its orders; the
+    rest come in the same order as without it.
     """
     n = len(items)
     if not (1 <= parts <= n):
         raise InputError(f"parts={parts} out of range for {n} items")
     for blocks in iter_set_partitions(items, parts):
+        if keep is not None and not keep(blocks):
+            continue
         for order in permutations(range(parts)):
             yield [blocks[i] for i in order]
 

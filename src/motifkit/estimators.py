@@ -43,32 +43,61 @@ def _min_cover(nbr: Sequence[int]) -> Callable[[int], Optional[int]]:
     branch node covers, in turn, u and v of the first uncovered edge (u, v),
     u < v, taken u ascending then v ascending.  Covered vertices only
     accumulate down a branch, so a child resumes the scan at its parent's u.
+    A node gives up when a greedy matching of its uncovered edges already
+    holds more edges than its budget: no cover below it fits, so the first
+    cover found is the same as without the check.
     """
     up = [(u, mask >> (u + 1) << (u + 1)) for u, mask in enumerate(nbr)]
     up = [pair for pair in up if pair[1]]
-    # Disjoint edges need a cover vertex each: a greedy matching is a bound.
-    matched = lower = 0
-    for u, mask in up:
-        rest = mask & ~matched
-        if rest and not matched >> u & 1:
-            matched |= 1 << u | rest & -rest
-            lower += 1
+    n = len(nbr)
 
-    def branch(covered: int, start: int, budget: int) -> Optional[int]:
+    def matching(covered: int, start: int, cap: int) -> int:
+        """How many edges a greedy matching of the uncovered edges from
+        up[start] on holds, counted up to cap + 1.  Disjoint edges need a
+        cover vertex each."""
+        size = 0
         for i in range(start, len(up)):
             u, mask = up[i]
             rest = mask & ~covered
             if rest and not covered >> u & 1:
-                if budget == 0:
-                    return None
-                for w in (u, _lowest(rest)):
-                    found = branch(covered | 1 << w, i, budget - 1)
-                    if found is not None:
-                        return found
-                return None
-        return covered
+                covered |= 1 << u | rest & -rest
+                size += 1
+                if size > cap:
+                    break
+        return size
 
-    return lambda budget: None if budget < lower else branch(0, 0, budget)
+    lower = matching(0, 0, n)
+
+    def attempt(total: int) -> Optional[int]:
+        if total < lower:
+            return None
+        # A node of budget b has covered total - b vertices, so a matching
+        # there holds at most half of the n - total + b left.  The greedy one
+        # tends to fall an edge or two short of that, so it is taken only
+        # where b + 2 edges would fit, b < n - total - 3, and only from b = 3
+        # on: below that the children run out of budget within a level or two.
+        check = max(n - total - 3, 1)
+
+        def branch(covered: int, start: int, budget: int) -> Optional[int]:
+            for i in range(start, len(up)):
+                u, mask = up[i]
+                rest = mask & ~covered
+                if rest and not covered >> u & 1:
+                    if budget < check and (
+                        budget == 0
+                        or budget > 2 and matching(covered, i, budget) > budget
+                    ):
+                        return None
+                    for w in (u, _lowest(rest)):
+                        found = branch(covered | 1 << w, i, budget - 1)
+                        if found is not None:
+                            return found
+                    return None
+            return covered
+
+        return branch(0, 0, total)
+
+    return attempt
 
 
 def _buss_cover(
@@ -178,23 +207,32 @@ def dist_to_co_cluster_set(
 
     Each branch node removes, in turn, u, v and w of the first co-P3 left.
     Removing vertices creates no co-P3, so a child resumes the scan at its
-    parent's u.  With a limit, returns None once the minimum provably
-    exceeds it.
+    parent's u.  A node gives up when a greedy packing of disjoint co-P3s
+    left already holds more than its budget.  With a limit, returns None once
+    the minimum provably exceeds it.
     """
     nbr = g.neighbour_masks()
     full = (1 << g.n) - 1
-    # Disjoint co-P3s need a deleted vertex each: a greedy packing is a bound.
-    alive, lower, bad = full, 0, _next_co_p3(nbr, full)
-    while bad is not None:
-        alive &= ~(1 << bad[0] | 1 << bad[1] | 1 << bad[2])
-        lower += 1
-        bad = _next_co_p3(nbr, alive, bad[0])
+
+    def packing(alive: int, bad: Optional[Tuple[int, int, int]], cap: int) -> int:
+        """How many disjoint co-P3s a greedy packing in `alive` holds,
+        starting from `bad`, the first one there, counted up to cap + 1.
+        Disjoint co-P3s need a deleted vertex each."""
+        size = 0
+        while bad is not None and size <= cap:
+            alive &= ~(1 << bad[0] | 1 << bad[1] | 1 << bad[2])
+            size += 1
+            bad = _next_co_p3(nbr, alive, bad[0])
+        return size
 
     def branch(alive: int, start: int, budget: int) -> Optional[int]:
         bad = _next_co_p3(nbr, alive, start)
         if bad is None:
             return full ^ alive
-        if budget == 0:
+        # A packing holds at most a third of the vertices left.
+        if budget == 0 or (
+            budget < alive.bit_count() // 3 and packing(alive, bad, budget) > budget
+        ):
             return None
         for x in bad:
             found = branch(alive & ~(1 << x), bad[0], budget - 1)
@@ -202,6 +240,7 @@ def dist_to_co_cluster_set(
                 return found
         return None
 
+    lower = packing(full, _next_co_p3(nbr, full), g.n)
     return _deepen(g.n, limit, lambda k: branch(full, 0, k), lower)
 
 

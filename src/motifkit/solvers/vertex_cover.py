@@ -90,9 +90,16 @@ def _try_guess(
         )
         nbr_comps[v] = touched
 
+    # Every block needs a connector that touches all of it, in any order:
+    # a set partition with a block no such vertex touches is skipped whole.
+    touched = set(nbr_comps.values())
+
+    def connectable(blocks: List[List[int]]) -> bool:
+        return all(any(t.issuperset(block) for t in touched) for block in blocks)
+
     max_l = min(len(comps), sum(remaining.values()))
     for l in range(1, max_l + 1):
-        for blocks in iter_ordered_partitions(list(range(len(comps))), l):
+        for blocks in iter_ordered_partitions(range(len(comps)), l, connectable):
             outcome = _try_partition(inst, s_prime, blocks, avail, nbr_comps, remaining)
             if outcome is not None:
                 return outcome

@@ -60,6 +60,23 @@ class TestOrderedPartitions:
         with pytest.raises(InputError):
             list(iter_ordered_partitions([0], 2))
 
+    @pytest.mark.parametrize("n,l", [(4, 2), (5, 3), (5, 1)])
+    def test_keep_drops_every_order_of_a_rejected_set_partition(self, n, l):
+        def keep(blocks):
+            # Blocks come by smallest element: reject a singleton {0}.
+            return len(blocks[0]) > 1
+
+        every = list(iter_ordered_partitions(list(range(n)), l))
+        kept = list(iter_ordered_partitions(list(range(n)), l, keep))
+        rejected = {
+            frozenset(map(frozenset, blocks))
+            for blocks in iter_set_partitions(list(range(n)), l)
+            if not keep(blocks)
+        }
+        assert kept == [
+            p for p in every if frozenset(map(frozenset, p)) not in rejected
+        ]
+
 
 class TestSetPartitions:
     @pytest.mark.parametrize("n,bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motifkit import estimators
 from motifkit.core import CapacityError, Graph, InputError, connected_components
 from motifkit.estimators import (
     _find_co_p3,
@@ -18,6 +20,7 @@ from motifkit.estimators import (
     min_vertex_cover,
     validate_clique_cover,
 )
+from motifkit.generators import X3cInstance, gen_x3c_superstar_cliques
 from oracles import max_leaf_oracle
 
 
@@ -354,7 +357,7 @@ def graphs_of_any_density(draw, max_n=11):
 
 
 class TestProbesMatchReference:
-    @given(graphs_of_any_density(), st.sampled_from([None, 0, 1, 2, 3]))
+    @given(graphs_of_any_density(), st.sampled_from([None, 0, 1, 2, 3, 5, 7, 10]))
     @settings(max_examples=300, deadline=None)
     def test_identical_sets(self, g, limit):
         assert min_vertex_cover(g, limit) == ref_min_vertex_cover(g, limit)
@@ -387,3 +390,55 @@ class TestProbesMatchReference:
         assert dist_to_clique_set(g, limit=10) is None
         assert len(dist_to_clique_set(g)) == 14
         assert calls == Counter()
+
+
+def count_branch_nodes(search):
+    """What `search()` returns, and how many `branch` calls of this module's
+    searches it makes."""
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        code = frame.f_code
+        if event == "call" and code.co_name == "branch":
+            nodes += code.co_filename == estimators.__file__
+
+    sys.setprofile(profile)
+    try:
+        found = search()
+    finally:
+        sys.setprofile(None)
+    return found, nodes
+
+
+class TestPackingBoundAtEveryNode:
+    # x3c-superstar of four triples (q = 2): 17 vertices, a vertex cover and
+    # a co-cluster deletion set of 12 each, so both capped probes give up.
+    GRAPH = gen_x3c_superstar_cliques(
+        X3cInstance(2, ((0, 2, 4), (0, 1, 3), (1, 3, 5), (1, 4, 5)))
+    ).instance.graph
+
+    def test_co_cluster_probe_scans_fewer_co_p3s(self, monkeypatch):
+        scans = 0
+        original = estimators._next_co_p3
+
+        def counted(*args):
+            nonlocal scans
+            scans += 1
+            return original(*args)
+
+        monkeypatch.setattr(estimators, "_next_co_p3", counted)
+        assert dist_to_co_cluster_set(self.GRAPH, 7) is None
+        # With the packing checked at the root only: 4,743 scans.
+        assert scans <= 1000
+
+    def test_vertex_cover_probe_visits_fewer_nodes(self):
+        found, nodes = count_branch_nodes(lambda: min_vertex_cover(self.GRAPH, 10))
+        assert found is None
+        # With the matching checked at the root only: 3,581 nodes.
+        assert nodes <= 600
+
+    def test_exact_searches_still_find_the_minimum(self):
+        assert len(min_vertex_cover(self.GRAPH)) == 12
+        assert len(dist_to_co_cluster_set(self.GRAPH)) == 12
+

@@ -33,7 +33,13 @@ from motifkit.solvers import (
     solve_vertex_cover,
 )
 from motifkit.csct import CsctInstance, solve_csct
-from motifkit.generators import SetSystem, gen_domset_reduction, gen_hitting_set_split
+from motifkit.generators import (
+    SetSystem,
+    X3cInstance,
+    gen_domset_reduction,
+    gen_hitting_set_split,
+    gen_x3c_paths,
+)
 from motifkit.solvers import (
     dist_clique,
     edge_clique_cover,
@@ -615,6 +621,7 @@ DOMSET_CLUSTER_P4 = gen_domset_reduction(Graph(4, [(0, 1), (1, 2), (2, 3)]), 1, 
 DOMSET_CLUSTER_TREE = gen_domset_reduction(
     Graph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)]), 1, "cluster"
 )
+FIG_SOURCE = X3cInstance(2, ((0, 2, 4), (0, 1, 3), (1, 3, 5), (1, 4, 5)))
 HITTING_SET = gen_hitting_set_split(
     SetSystem(6, ((0, 1, 2, 5), (0, 5), (0, 2), (0, 1, 3), (0, 1, 3, 5), (1, 3, 5)), 1)
 )
@@ -718,6 +725,28 @@ class TestFamilyCounts:
         calls, connected, every = count_families(module, solve, sizes, joined)
         assert calls == connected < every
         assert (calls, connected, every) == counts
+
+
+class TestConnectablePartitions:
+    def test_set_partitions_without_connectors_are_skipped(self):
+        # A YES x3c-paths instance: `vc` tries ordered partitions of the
+        # guessed trace's components, and most set partitions have a block
+        # that no available vertex touches whole.
+        inst = gen_x3c_paths(FIG_SOURCE).instance
+        every_order = vertex_cover.iter_ordered_partitions
+
+        def tries(enumerate_partitions):
+            with mock.patch.object(
+                vertex_cover, "iter_ordered_partitions", enumerate_partitions
+            ), mock.patch.object(
+                vertex_cover, "_try_partition", wraps=vertex_cover._try_partition
+            ) as calls:
+                return solve_vertex_cover(inst), calls.call_count
+
+        skipped, calls = tries(every_order)
+        unfiltered, all_calls = tries(lambda items, parts, keep: every_order(items, parts))
+        assert skipped.is_yes and skipped == unfiltered
+        assert (calls, all_calls) == (6511, 24474)
 
 
 X3C_Q5_SCRIPT = """

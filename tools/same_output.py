@@ -1,4 +1,5 @@
-"""Same-behaviour check: `motifkit solve` under two source trees, cell by cell.
+"""Same-behaviour check: `motifkit solve` and `params` under two source trees,
+cell by cell.
 
     python3 tools/same_output.py PARENT_SRC CHANGE_SRC --seed N [--limit S]
 
@@ -6,12 +7,16 @@ PARENT_SRC and CHANGE_SRC are directories that hold a `motifkit` package
 (a checkout's `src`).  The script builds the three benchmark corpora for the
 seed with `perfbench/corpus.py` into a temporary directory, once from each
 side's generators, and prints each workload's `corpus_sha256` for both sides.
-It then runs `motifkit solve` on every file of PARENT_SRC's corpora under
-each side, one subprocess per cell with a time limit of S seconds (default 5):
+It then runs `motifkit` on every file of PARENT_SRC's corpora under each
+side, one subprocess per cell with a time limit of S seconds (default 5):
 
-    dense-clique  --algo dist-clique
-    sparse-paths  --algo maxleaf
-    auto-mixed    auto, vc, cocluster, dist-clique and maxleaf
+    dense-clique  solve --algo dist-clique
+    sparse-paths  solve --algo maxleaf
+    auto-mixed    solve with auto, vc, cocluster, dist-clique and maxleaf;
+                  params, and params --limit 7
+
+`params` prints the deletion-set estimators' sizes, so its cells compare the
+estimators themselves, uncapped and capped.
 
 A cell is identical when both sides finish with the same stdout, stderr and
 exit code.  The script prints how many cells are identical, how many differ
@@ -37,15 +42,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# Per workload, each cell's command and its arguments after the file.
 CELLS = {
-    "dense-clique": [["--algo", "dist-clique"]],
-    "sparse-paths": [["--algo", "maxleaf"]],
+    "dense-clique": [["solve", "--algo", "dist-clique"]],
+    "sparse-paths": [["solve", "--algo", "maxleaf"]],
     "auto-mixed": [
-        [],
-        ["--algo", "vc"],
-        ["--algo", "cocluster"],
-        ["--algo", "dist-clique"],
-        ["--algo", "maxleaf"],
+        ["solve"],
+        ["solve", "--algo", "vc"],
+        ["solve", "--algo", "cocluster"],
+        ["solve", "--algo", "dist-clique"],
+        ["solve", "--algo", "maxleaf"],
+        ["params"],
+        ["params", "--limit", "7"],
     ],
 }
 
@@ -71,14 +79,14 @@ def build_corpora(src: Path, seed: int, out: Path) -> dict:
     return hashes
 
 
-def solve(src: Path, path: Path, argv: list, limit: float, cwd: str):
-    """((exit code, stdout, stderr), seconds) of one solve; (None, None) if
-    it timed out."""
+def run_cell(src: Path, path: Path, argv: list, limit: float, cwd: str):
+    """((exit code, stdout, stderr), seconds) of one command; (None, None)
+    if it timed out."""
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "motifkit.cli", "solve", str(path), *argv],
+            [sys.executable, "-m", "motifkit.cli", argv[0], str(path), *argv[1:]],
             capture_output=True,
             text=True,
             timeout=limit,
@@ -127,9 +135,10 @@ def main(argv=None) -> int:
             for path in sorted((corpora / workload).glob("*.gm")):
                 for cell_argv in algo_args:
                     (parent, parent_s), (change, change_s) = [
-                        solve(src, path, cell_argv, args.limit, tmp) for src in sides
+                        run_cell(src, path, cell_argv, args.limit, tmp)
+                        for src in sides
                     ]
-                    cell = f"{workload}/{path.name} {' '.join(cell_argv) or 'auto'}"
+                    cell = f"{workload}/{path.name} {' '.join(cell_argv)}"
                     took = f"parent {_took(parent_s)}, change {_took(change_s)}"
                     if max(parent_s or 0, change_s or 0) > args.limit / 2:
                         counts["near limit"] += 1
