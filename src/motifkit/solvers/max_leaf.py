@@ -12,12 +12,17 @@ from __future__ import annotations
 from collections import Counter
 from functools import reduce
 from operator import or_
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from ..core import Instance, SolveOutcome, connected_components
+from ..core import CapacityError, Instance, SolveOutcome, connected_components
 from ..estimators import PathComponent, degree3_decomposition
-from .common import dispatch_components, iter_guesses, try_witness
+from .common import dispatch_components, iter_connected, try_witness
 from .paths import solve_on_path
+
+# `_linked_traces` holds every linked trace to sort them, about 190 bytes
+# each at eight vertices (tracemalloc, Python 3.11); past this many it raises
+# CapacityError rather than grow toward an out-of-memory kill.
+MAX_TRACES = 1 << 20
 
 
 def solve_max_leaf_xp(inst: Instance) -> SolveOutcome:
@@ -49,12 +54,61 @@ def _solve_connected(inst: Instance) -> SolveOutcome:
     # The paths, which hold every vertex outside S, supply a leftover.
     supply = Counter(inst.coloring[v] for v in range(g.n) if v not in s)
     fits = _attached_fit(inst, s, paths)
-    for t, remaining in iter_guesses(inst, sorted(s), supply):
+    for t, remaining in _linked_traces(inst, s, paths, supply):
         if fits(t, remaining):
             outcome = _try_trace(inst, set(t), remaining, paths)
             if outcome is not None:
                 return outcome
     return SolveOutcome.no()
+
+
+def _linked_traces(
+    inst: Instance, s: Set[int], paths: List[PathComponent], supply: Counter
+) -> Iterator[Tuple[Tuple[int, ...], Counter]]:
+    """The guesses `iter_guesses(inst, sorted(s), supply)` yields whose trace
+    is connected in the link graph on S, in the same order, with the same
+    leftovers.
+
+    Two vertices of S are linked when adjacent or both attached to the ends
+    of one path.  The trace of a connected solution is connected in this
+    graph: every other vertex lies on a path and only its ends have
+    neighbors in S, so a segment of the solution joins only vertices
+    attached to one path.  A trace that is not linked fails the DP.
+
+    Raises CapacityError past MAX_TRACES traces.
+    """
+    order = sorted(s)
+    index = {v: i for i, v in enumerate(order)}
+    links: List[Set[int]] = [
+        {index[u] for u in inst.graph.adjacency[v] if u in index} for v in order
+    ]
+    for path in paths:
+        ends = {index[u] for u in path.first_attach + path.last_attach}
+        for i in ends:
+            links[i] |= ends - {i}
+    colors = [inst.coloring[v] for v in order]
+    motif = inst.motif.multiplicities
+    # How many of each colour a trace must take for its leftover to fit.
+    short = {c: m - supply[c] for c, m in motif.items() if m > supply[c]}
+
+    def fits(sub: List[int]) -> bool:
+        # Every shorter prefix fitted, so only the newest vertex's colour can
+        # overflow the motif.
+        c = colors[sub[-1]]
+        return sum(colors[i] == c for i in sub) <= motif.get(c, 0)
+
+    found = []
+    size = min(len(order), inst.motif.total)
+    for sub in iter_connected(links, size, fits, smallest=1):
+        if all(sum(colors[i] == c for i in sub) >= k for c, k in short.items()):
+            if len(found) == MAX_TRACES:
+                raise CapacityError(f"maxleaf capped at {MAX_TRACES} linked traces")
+            found.append(tuple(order[i] for i in sorted(sub)))
+    # iter_guesses' order: by size, then `combinations` order, which on
+    # sorted candidates is the order of the sorted tuples.
+    found.sort(key=lambda t: (len(t), t))
+    for t in found:
+        yield t, inst.motif.minus(inst.coloring[v] for v in t)
 
 
 def _attached_fit(
@@ -101,19 +155,23 @@ def _path_options(
     t_set: Set[int],
     comp_of: Dict[int, int],
     remaining: Counter,
-) -> List[Tuple[List[int], Set[int], Counter]]:
+) -> List[Tuple[List[int], Tuple[Set[int], ...], Counter]]:
     """Admissible intersections of a solution with one path, each with the
-    components it touches and its color counts.
+    groups of components its segments join and its color counts.
 
     Every taken segment must touch the trace through a path end, since inner
-    vertices have no neighbors outside the path.
+    vertices have no neighbors outside the path.  A prefix plus a suffix is
+    two segments: each joins its own end's components, and the gap between
+    them keeps the two groups apart.
     """
     verts = path.vertices
     colors = [inst.coloring[v] for v in verts]
     n = len(verts)
     first_t = {comp_of[u] for u in path.first_attach if u in t_set}
     last_t = {comp_of[u] for u in path.last_attach if u in t_set}
-    options: List[Tuple[List[int], Set[int], Counter]] = [([], set(), Counter())]
+    options: List[Tuple[List[int], Tuple[Set[int], ...], Counter]] = [
+        ([], (), Counter())
+    ]
 
     def add(counts: Counter, i: int) -> bool:
         """Count vertex i in; False once its color exceeds the remaining."""
@@ -126,15 +184,15 @@ def _path_options(
         for a in range(1, n + 1):
             if not add(counts, a - 1):
                 break
-            touched = set(first_t) | (last_t if a == n else set())
-            options.append((list(verts[:a]), touched, Counter(counts)))
+            touched = first_t | last_t if a == n else first_t
+            options.append((list(verts[:a]), (touched,), Counter(counts)))
     if last_t:
         counts = Counter()
         for b in range(1, n + 1):
             if not add(counts, n - b):
                 break
-            touched = set(last_t) | (first_t if b == n else set())
-            options.append((list(verts[n - b :]), touched, Counter(counts)))
+            touched = last_t | first_t if b == n else last_t
+            options.append((list(verts[n - b :]), (touched,), Counter(counts)))
     if first_t and last_t:
         # Disjoint prefix + suffix with a gap of at least one vertex.
         prefix_counts = Counter()
@@ -146,7 +204,7 @@ def _path_options(
                 if not add(counts, n - b):
                     break
                 both = prefix + list(verts[n - b :])
-                options.append((both, first_t | last_t, Counter(counts)))
+                options.append((both, (first_t, last_t), Counter(counts)))
     return options
 
 
@@ -178,14 +236,18 @@ def _try_trace(
             out.append(seen[p])
         return tuple(out)
 
-    def merge(partition: Tuple[int, ...], touched: Set[int]) -> Tuple[int, ...]:
-        if len(touched) <= 1:
-            return partition
-        roots = {partition[i] for i in touched}
-        new_root = min(roots)
-        return canon(
-            tuple(new_root if p in roots else p for p in partition)
-        )
+    def merge(
+        partition: Tuple[int, ...], groups: Tuple[Set[int], ...]
+    ) -> Tuple[int, ...]:
+        """Join the components of each group, one group at a time."""
+        for touched in groups:
+            roots = {partition[i] for i in touched}
+            if len(roots) > 1:
+                new_root = min(roots)
+                partition = canon(
+                    tuple(new_root if p in roots else p for p in partition)
+                )
+        return partition
 
     options = [_path_options(inst, p, t_set, comp_of, remaining) for p in paths]
     counts = [[c for _, _, c in o] for o in options]
@@ -205,15 +267,18 @@ def _try_trace(
     states: Dict[State, object] = {start: None}
     layers: List[Dict[State, Tuple[State, int]]] = []
     for opts, path_counts, later in zip(options, counts, supply[1:]):
-        layer_steps = [(pack(c), touched) for _, touched, c in opts]
+        # Only a group of two or more components can join anything.
+        layer_steps = [
+            (pack(c), tuple(g for g in groups if len(g) > 1)) for _, groups, c in opts
+        ]
         bound = 2 * guards + pack(later & remaining)
         nxt: Dict[State, Tuple[State, int]] = {}
         for state in states:
             rem, partition = state
-            for idx, (delta, touched) in enumerate(layer_steps):
+            for idx, (delta, groups) in enumerate(layer_steps):
                 new = rem - delta
                 if new & guards == guards and (bound - new) & guards == guards:
-                    key = (new, merge(partition, touched))
+                    key = (new, merge(partition, groups))
                     if key not in nxt:
                         nxt[key] = (state, idx)
         if not nxt:

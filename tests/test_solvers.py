@@ -400,12 +400,13 @@ def ref_try_trace(inst, t_set, _remaining, paths):
             out.append(seen[p])
         return tuple(out)
 
-    def merge(partition, touched):
-        if len(touched) <= 1:
-            return partition
-        roots = {partition[i] for i in touched}
-        new_root = min(roots)
-        return canon(tuple(new_root if p in roots else p for p in partition))
+    def merge(partition, groups):
+        for touched in groups:
+            roots = {partition[i] for i in touched}
+            if len(roots) > 1:
+                new_root = min(roots)
+                partition = canon(tuple(new_root if p in roots else p for p in partition))
+        return partition
 
     start = (tuple([0] * len(color_order)), tuple(range(n_comps)))
     states = {start: []}
@@ -413,7 +414,7 @@ def ref_try_trace(inst, t_set, _remaining, paths):
         options = max_leaf._path_options(inst, path, t_set, comp_of, remaining)
         nxt = {}
         for (counts, partition), chosen in states.items():
-            for seg, touched, _ in options:
+            for seg, groups, _ in options:
                 if seg:
                     new_counts = list(counts)
                     ok = True
@@ -425,7 +426,7 @@ def ref_try_trace(inst, t_set, _remaining, paths):
                             break
                     if not ok:
                         continue
-                    key = (tuple(new_counts), merge(partition, touched))
+                    key = (tuple(new_counts), merge(partition, groups))
                 else:
                     key = (counts, partition)
                 if key not in nxt:
@@ -440,15 +441,33 @@ def ref_try_trace(inst, t_set, _remaining, paths):
 
 @st.composite
 def branching_instances(draw, max_n=12):
-    """Connected instances with at least two vertices of degree >= 3."""
+    """Connected instances with at least two vertices of degree >= 3.
+
+    Up to three edges are subdivided into paths of one to three new
+    vertices, so that paths long enough for a prefix plus a suffix occur.
+    Half the motifs are the colours of a connected vertex set, so that the
+    path DP often reaches its goal."""
     n = draw(st.integers(5, max_n))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pairs = list(combinations(range(n), 2))
     edges.update(draw(st.lists(st.sampled_from(pairs), max_size=n, unique=True)))
+    for u, v in draw(st.lists(st.sampled_from(sorted(edges)), max_size=3, unique=True)):
+        chain = [u, *range(n, n + draw(st.integers(1, 3))), v]
+        n = chain[-2] + 1
+        edges.remove((u, v))
+        edges.update(zip(chain, chain[1:]))
     g = Graph(n, sorted(edges))
     assume(sum(1 for v in range(n) if g.degree(v) >= 3) >= 2)
     coloring = tuple(draw(st.integers(0, 3)) for _ in range(n))
-    motif = Counter(draw(st.lists(st.integers(0, 3), min_size=1, max_size=8)))
+    if draw(st.booleans()):
+        grown = [draw(st.integers(0, n - 1))]
+        for _ in range(draw(st.integers(0, 7))):
+            frontier = sorted({u for v in grown for u in g.adjacency[v]} - set(grown))
+            if frontier:
+                grown.append(draw(st.sampled_from(frontier)))
+        motif = Counter(coloring[v] for v in grown)
+    else:
+        motif = Counter(draw(st.lists(st.integers(0, 3), min_size=1, max_size=8)))
     return Instance(g, coloring, Motif(dict(motif)))
 
 
@@ -457,21 +476,48 @@ def unbounded_guesses(inst, candidates, _supply):
     return iter_guesses(inst, candidates, inst.motif.as_counter())
 
 
+def every_fitting_trace(inst, s, _paths, _supply):
+    """`max_leaf._linked_traces` with no link or supply filter: every trace
+    that fits the motif, in `iter_guesses` order."""
+    return iter_guesses(inst, sorted(s), inst.motif.as_counter())
+
+
 def fits_every_trace(inst, s, paths):
     """`max_leaf._attached_fit` that lets every trace through."""
     return lambda t, remaining: True
+
+
+def guess_enumerator(module):
+    """The name of the function `module`'s solver draws its guesses from."""
+    return "_linked_traces" if module is max_leaf else "iter_guesses"
 
 
 @contextlib.contextmanager
 def no_supply_bounds(module):
     """`module`'s solver tries every guess that fits the motif."""
     with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(module, "iter_guesses", unbounded_guesses))
         if module is max_leaf:
+            stack.enter_context(
+                mock.patch.object(max_leaf, "_linked_traces", every_fitting_trace)
+            )
             stack.enter_context(
                 mock.patch.object(max_leaf, "_attached_fit", fits_every_trace)
             )
+        else:
+            stack.enter_context(
+                mock.patch.object(module, "iter_guesses", unbounded_guesses)
+            )
         yield
+
+
+def is_linked(g, paths, t):
+    """Whether trace t is connected once every two of its vertices that are
+    adjacent, or attached to the ends of one path, are joined."""
+    edges = {(u, v) for u, v in g.edges() if u in t and v in t}
+    for path in paths:
+        ends = sorted(set(path.first_attach + path.last_attach) & set(t))
+        edges.update(combinations(ends, 2))
+    return len(connected_components(Graph(g.n, sorted(edges)), t)) == 1
 
 
 class TestMaxLeafDP:
@@ -517,6 +563,77 @@ class TestMaxLeafDP:
         inst = Instance(g, (0, 0, 1, 2, 2, 2, 2, 2), Motif({0: 2, 1: 1, 2: 1}))
         assert max(self.check_against_reference(inst)) == 2
         assert {0, 1, 2} < set(solve_max_leaf_xp(inst).witness)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            # S = {0, 4}: the path 1 joins them, the path 2-6-9 only whole.
+            # Its prefix 2 plus suffix 9 once counted as joining them too;
+            # that state reached the goal first, its witness failed the
+            # check, and the trace, the only one that can succeed, gave NO.
+            Instance(
+                Graph(10, [(0, 1), (0, 2), (0, 3), (0, 5), (0, 8), (1, 4), (2, 6),
+                           (4, 7), (4, 9), (6, 9)]),
+                (0, 0, 0, 0, 0, 0, 0, 1, 1, 1),
+                Motif({0: 3, 1: 3}),
+            ),
+            # Vertex 9 is pruned (colour 3), so S = {1, 2}; the same happens
+            # with the prefix 3 plus suffix 6 of the path 3-7-6.
+            Instance(
+                Graph(11, [(0, 1), (0, 2), (0, 9), (1, 3), (1, 4), (1, 5), (1, 8),
+                           (2, 6), (2, 10), (3, 7), (6, 7)]),
+                (0, 0, 1, 0, 0, 0, 1, 0, 2, 3, 0),
+                Motif({0: 2, 1: 2, 2: 1}),
+            ),
+        ],
+    )
+    def test_prefix_and_suffix_keep_their_ends_apart(self, inst):
+        assert solve_brute(inst).is_yes
+        assert solve_max_leaf_xp(inst).is_yes
+        self.check_against_reference(inst)
+
+    def test_too_many_linked_traces_raise_capacity_error(self):
+        # K6 with a pendant leaf per vertex, all one colour: all 62 subsets
+        # of 1 to 5 clique vertices are linked traces that fit.
+        edges = list(combinations(range(6), 2)) + [(v, 6 + v) for v in range(6)]
+        inst = Instance(Graph(12, edges), (0,) * 12, Motif({0: 5}))
+        with mock.patch.object(max_leaf, "MAX_TRACES", 62):
+            assert solve_max_leaf_xp(inst).is_yes
+        with mock.patch.object(max_leaf, "MAX_TRACES", 61):
+            with pytest.raises(CapacityError):
+                solve_max_leaf_xp(inst)
+
+    @given(branching_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_linked_traces_are_the_linked_guesses(self, inst):
+        s, paths = degree3_decomposition(inst.graph)
+        outside = Counter(inst.coloring[v] for v in range(inst.graph.n) if v not in s)
+        for supply in (outside, inst.motif.as_counter()):
+            assert list(max_leaf._linked_traces(inst, s, paths, supply)) == [
+                (t, remaining)
+                for t, remaining in iter_guesses(inst, sorted(s), supply)
+                if is_linked(inst.graph, paths, t)
+            ]
+
+    @given(branching_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_unlinked_traces_fail(self, inst):
+        s, paths = degree3_decomposition(inst.graph)
+        for t, remaining in iter_guesses(inst, sorted(s), inst.motif.as_counter()):
+            if not is_linked(inst.graph, paths, t):
+                assert ref_try_trace(inst, set(t), remaining, paths) is None, t
+
+    @given(branching_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_goal_state_gives_a_witness(self, inst):
+        # `_try_trace` calls `try_witness` exactly when the DP reaches its goal.
+        s, paths = degree3_decomposition(inst.graph)
+        for t, remaining in iter_guesses(inst, sorted(s), inst.motif.as_counter()):
+            with mock.patch.object(max_leaf, "try_witness", wraps=try_witness) as check:
+                outcome = max_leaf._try_trace(inst, set(t), remaining, paths)
+            if check.called:
+                assert outcome is not None, t
+                assert verify_solution(inst, outcome.witness), t
 
 
 def ref_dist_clique_try_guess(inst, s_prime, _remaining, clique, s_index, nbr_mask):
@@ -599,7 +716,8 @@ class TestDistCliqueSupply:
 def count_guesses(module, kernel, solve):
     """Whether `solve()` says YES, how many guesses `module` enumerates on the
     way, and how many calls it makes to its inner `kernel`."""
-    enumerate_guesses = module.iter_guesses
+    name = guess_enumerator(module)
+    enumerate_guesses = getattr(module, name)
     guesses = 0
 
     def counting(*args):
@@ -608,7 +726,7 @@ def count_guesses(module, kernel, solve):
             guesses += 1
             yield guess
 
-    with mock.patch.object(module, "iter_guesses", counting), mock.patch.object(
+    with mock.patch.object(module, name, counting), mock.patch.object(
         module, kernel, wraps=getattr(module, kernel)
     ) as calls:
         is_yes = solve().is_yes
@@ -616,7 +734,8 @@ def count_guesses(module, kernel, solve):
 
 
 # A NO instance per solver from the generators, so that every guess is
-# tried: (module, kernel, solve, counts, counts without the supply bounds).
+# tried: (module, kernel, solve, counts, counts without the supply bounds;
+# for maxleaf also without the link filter and the attached-path check).
 DOMSET_CLUSTER_P4 = gen_domset_reduction(Graph(4, [(0, 1), (1, 2), (2, 3)]), 1, "cluster")
 DOMSET_CLUSTER_TREE = gen_domset_reduction(
     Graph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)]), 1, "cluster"
@@ -637,7 +756,7 @@ PINNED_COUNTS = {
     ),
     "maxleaf": (
         max_leaf, "_try_trace", lambda: solve_max_leaf_xp(DOMSET_CLUSTER_TREE.instance),
-        (False, 3024, 348), (False, 4175, 4175),
+        (False, 36, 0), (False, 4175, 4175),
     ),
 }
 

@@ -1,0 +1,47 @@
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = load_tool("bench_pairs")
+
+
+def fake_run(seed, side, first, decided, p50, attempted=10, failed=0):
+    metrics = {name: {"value": 1.0, "unit": "-"} for name in bench_pairs.METRICS}
+    metrics["decided_per_s"] = {"value": decided, "unit": "1/s"}
+    metrics["verdict_p50_s"] = {"value": p50, "unit": "s"}
+    result = {"correct": True, "attempted": attempted, "failed": failed, "metrics": metrics}
+    return {"seed": seed, "side": side, "ran_first": first, "result": result}
+
+
+class TestBenchPairs:
+    def test_seed_ranges_and_lists(self):
+        assert bench_pairs.parse_seeds("1501-1504") == [1501, 1502, 1503, 1504]
+        assert bench_pairs.parse_seeds("7,3") == [7, 3]
+
+    def test_summary_respects_each_metrics_direction(self):
+        runs = []
+        # decided_per_s: higher is better; verdict_p50_s: lower is better.
+        for seed, (p, c) in enumerate([(100, 150), (110, 90), (120, 200), (130, 210)]):
+            runs.append(fake_run(seed, "parent", seed % 2 == 0, p, 1 / p))
+            runs.append(fake_run(seed, "change", seed % 2 == 1, c, 1 / c, failed=1))
+        summary = bench_pairs.summarize(runs)
+        assert summary["pairs"] == 4
+        assert summary["correct"] is True
+        assert summary["attempted"] == {"parent": 40, "change": 40}
+        assert summary["failed"] == {"parent": 0, "change": 4}
+        decided = summary["decided_per_s"]
+        assert decided["parent_q1_median_q3"] == [107.5, 115.0, 122.5]
+        assert decided["change_q1_median_q3"] == [135.0, 175.0, 202.5]
+        assert decided["median_change"] == "+52.2%"
+        assert decided["change_better_pairs"] == "3/4"
+        assert summary["verdict_p50_s"]["change_better_pairs"] == "3/4"
+        assert summary["peak_rss_mb"]["change_better_pairs"] == "0/4"
