@@ -122,25 +122,21 @@ def iter_connected(
     adjacency: Sequence[Iterable[int]],
     size: int,
     keep: Callable[[List[int]], bool] = lambda sub: True,
-    smallest: Optional[int] = None,
 ) -> Iterator[List[int]]:
-    """Every connected vertex set of `smallest` (default: `size`) up to
-    `size` vertices, once each, in one walk.
+    """Every connected vertex set of exactly `size` vertices, once each.
 
     ESU (Wernicke, IEEE/ACM TCBB 2006): a set is grown from its smallest
     vertex, only through neighbors with larger ids that no earlier member is
     adjacent to.  `keep(sub)` is asked of every prefix, in the order it was
     grown; a prefix it rejects is not extended.
     """
-    low = size if smallest is None else smallest
     sub: List[int] = []
 
     def extend(ext: Set[int], closed: Set[int], anchor: int) -> Iterator[List[int]]:
         # closed = sub plus every neighbor of sub seen so far; extending only
         # through neighbors outside it makes each set appear exactly once.
-        if len(sub) >= low:
-            yield list(sub)
         if len(sub) == size:
+            yield list(sub)
             return
         # `ext` is this call's own set: every caller passes a fresh one.
         while ext:

@@ -12,17 +12,12 @@ from __future__ import annotations
 from collections import Counter
 from functools import reduce
 from operator import or_
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..core import CapacityError, Instance, SolveOutcome, connected_components
+from ..core import Instance, SolveOutcome, connected_components
 from ..estimators import PathComponent, degree3_decomposition
-from .common import dispatch_components, iter_connected, try_witness
+from .common import dispatch_components, iter_guesses, try_witness
 from .paths import solve_on_path
-
-# `_linked_traces` holds every linked trace to sort them, about 190 bytes
-# each at eight vertices (tracemalloc, Python 3.11); past this many it raises
-# CapacityError rather than grow toward an out-of-memory kill.
-MAX_TRACES = 1 << 20
 
 
 def solve_max_leaf_xp(inst: Instance) -> SolveOutcome:
@@ -53,62 +48,45 @@ def _solve_connected(inst: Instance) -> SolveOutcome:
 
     # The paths, which hold every vertex outside S, supply a leftover.
     supply = Counter(inst.coloring[v] for v in range(g.n) if v not in s)
+    linked = _link_test(inst, s, paths)
     fits = _attached_fit(inst, s, paths)
-    for t, remaining in _linked_traces(inst, s, paths, supply):
-        if fits(t, remaining):
+    for t, remaining in iter_guesses(inst, sorted(s), supply):
+        if linked(t) and fits(t, remaining):
             outcome = _try_trace(inst, set(t), remaining, paths)
             if outcome is not None:
                 return outcome
     return SolveOutcome.no()
 
 
-def _linked_traces(
-    inst: Instance, s: Set[int], paths: List[PathComponent], supply: Counter
-) -> Iterator[Tuple[Tuple[int, ...], Counter]]:
-    """The guesses `iter_guesses(inst, sorted(s), supply)` yields whose trace
-    is connected in the link graph on S, in the same order, with the same
-    leftovers.
+def _link_test(
+    inst: Instance, s: Set[int], paths: List[PathComponent]
+) -> Callable[[Tuple[int, ...]], bool]:
+    """Whether a trace is connected in the link graph on S, where two
+    vertices are linked when adjacent or both attached to the ends of one
+    path.
 
-    Two vertices of S are linked when adjacent or both attached to the ends
-    of one path.  The trace of a connected solution is connected in this
-    graph: every other vertex lies on a path and only its ends have
-    neighbors in S, so a segment of the solution joins only vertices
-    attached to one path.  A trace that is not linked fails the DP.
-
-    Raises CapacityError past MAX_TRACES traces.
+    The trace of a connected solution is connected in this graph: every
+    other vertex lies on a path and only its ends have neighbors in S, so a
+    segment of the solution joins only vertices attached to one path.  A
+    trace that is not linked fails the DP.
     """
-    order = sorted(s)
-    index = {v: i for i, v in enumerate(order)}
-    links: List[Set[int]] = [
-        {index[u] for u in inst.graph.adjacency[v] if u in index} for v in order
-    ]
+    links = {v: {u for u in inst.graph.adjacency[v] if u in s} for v in s}
     for path in paths:
-        ends = {index[u] for u in path.first_attach + path.last_attach}
-        for i in ends:
-            links[i] |= ends - {i}
-    colors = [inst.coloring[v] for v in order]
-    motif = inst.motif.multiplicities
-    # How many of each colour a trace must take for its leftover to fit.
-    short = {c: m - supply[c] for c, m in motif.items() if m > supply[c]}
+        ends = set(path.first_attach + path.last_attach)
+        for v in ends:
+            links[v] |= ends
 
-    def fits(sub: List[int]) -> bool:
-        # Every shorter prefix fitted, so only the newest vertex's colour can
-        # overflow the motif.
-        c = colors[sub[-1]]
-        return sum(colors[i] == c for i in sub) <= motif.get(c, 0)
+    def linked(t: Tuple[int, ...]) -> bool:
+        members = set(t)
+        reached = {t[0]}
+        stack = [t[0]]
+        while stack:
+            fresh = (links[stack.pop()] & members) - reached
+            reached |= fresh
+            stack.extend(fresh)
+        return len(reached) == len(members)
 
-    found = []
-    size = min(len(order), inst.motif.total)
-    for sub in iter_connected(links, size, fits, smallest=1):
-        if all(sum(colors[i] == c for i in sub) >= k for c, k in short.items()):
-            if len(found) == MAX_TRACES:
-                raise CapacityError(f"maxleaf capped at {MAX_TRACES} linked traces")
-            found.append(tuple(order[i] for i in sorted(sub)))
-    # iter_guesses' order: by size, then `combinations` order, which on
-    # sorted candidates is the order of the sorted tuples.
-    found.sort(key=lambda t: (len(t), t))
-    for t in found:
-        yield t, inst.motif.minus(inst.coloring[v] for v in t)
+    return linked
 
 
 def _attached_fit(

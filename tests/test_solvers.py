@@ -476,36 +476,27 @@ def unbounded_guesses(inst, candidates, _supply):
     return iter_guesses(inst, candidates, inst.motif.as_counter())
 
 
-def every_fitting_trace(inst, s, _paths, _supply):
-    """`max_leaf._linked_traces` with no link or supply filter: every trace
-    that fits the motif, in `iter_guesses` order."""
-    return iter_guesses(inst, sorted(s), inst.motif.as_counter())
-
-
 def fits_every_trace(inst, s, paths):
     """`max_leaf._attached_fit` that lets every trace through."""
     return lambda t, remaining: True
 
 
-def guess_enumerator(module):
-    """The name of the function `module`'s solver draws its guesses from."""
-    return "_linked_traces" if module is max_leaf else "iter_guesses"
+def links_every_trace(inst, s, paths):
+    """`max_leaf._link_test` that lets every trace through."""
+    return lambda t: True
 
 
 @contextlib.contextmanager
 def no_supply_bounds(module):
     """`module`'s solver tries every guess that fits the motif."""
     with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(module, "iter_guesses", unbounded_guesses))
         if module is max_leaf:
             stack.enter_context(
-                mock.patch.object(max_leaf, "_linked_traces", every_fitting_trace)
+                mock.patch.object(max_leaf, "_link_test", links_every_trace)
             )
             stack.enter_context(
                 mock.patch.object(max_leaf, "_attached_fit", fits_every_trace)
-            )
-        else:
-            stack.enter_context(
-                mock.patch.object(module, "iter_guesses", unbounded_guesses)
             )
         yield
 
@@ -592,28 +583,22 @@ class TestMaxLeafDP:
         assert solve_max_leaf_xp(inst).is_yes
         self.check_against_reference(inst)
 
-    def test_too_many_linked_traces_raise_capacity_error(self):
-        # K6 with a pendant leaf per vertex, all one colour: all 62 subsets
-        # of 1 to 5 clique vertices are linked traces that fit.
-        edges = list(combinations(range(6), 2)) + [(v, 6 + v) for v in range(6)]
-        inst = Instance(Graph(12, edges), (0,) * 12, Motif({0: 5}))
-        with mock.patch.object(max_leaf, "MAX_TRACES", 62):
-            assert solve_max_leaf_xp(inst).is_yes
-        with mock.patch.object(max_leaf, "MAX_TRACES", 61):
-            with pytest.raises(CapacityError):
-                solve_max_leaf_xp(inst)
+    def test_first_linked_trace_is_tried_first(self):
+        # K30 (colour 0) with a pendant leaf (colour 1) per clique vertex:
+        # millions of traces are linked and fit, and the first one succeeds.
+        edges = list(combinations(range(30), 2)) + [(v, 30 + v) for v in range(30)]
+        inst = Instance(Graph(60, edges), (0,) * 30 + (1,) * 30, Motif({0: 8, 1: 1}))
+        assert count_guesses(max_leaf, "_try_trace", lambda: solve_max_leaf_xp(inst)) == (
+            True, 1, 1,
+        )
 
     @given(branching_instances())
     @settings(max_examples=200, deadline=None)
-    def test_linked_traces_are_the_linked_guesses(self, inst):
+    def test_link_test_matches_reference(self, inst):
         s, paths = degree3_decomposition(inst.graph)
-        outside = Counter(inst.coloring[v] for v in range(inst.graph.n) if v not in s)
-        for supply in (outside, inst.motif.as_counter()):
-            assert list(max_leaf._linked_traces(inst, s, paths, supply)) == [
-                (t, remaining)
-                for t, remaining in iter_guesses(inst, sorted(s), supply)
-                if is_linked(inst.graph, paths, t)
-            ]
+        linked = max_leaf._link_test(inst, s, paths)
+        for t, _ in iter_guesses(inst, sorted(s), inst.motif.as_counter()):
+            assert linked(t) == is_linked(inst.graph, paths, t), t
 
     @given(branching_instances())
     @settings(max_examples=200, deadline=None)
@@ -716,8 +701,7 @@ class TestDistCliqueSupply:
 def count_guesses(module, kernel, solve):
     """Whether `solve()` says YES, how many guesses `module` enumerates on the
     way, and how many calls it makes to its inner `kernel`."""
-    name = guess_enumerator(module)
-    enumerate_guesses = getattr(module, name)
+    enumerate_guesses = module.iter_guesses
     guesses = 0
 
     def counting(*args):
@@ -726,7 +710,7 @@ def count_guesses(module, kernel, solve):
             guesses += 1
             yield guess
 
-    with mock.patch.object(module, name, counting), mock.patch.object(
+    with mock.patch.object(module, "iter_guesses", counting), mock.patch.object(
         module, kernel, wraps=getattr(module, kernel)
     ) as calls:
         is_yes = solve().is_yes
@@ -756,7 +740,7 @@ PINNED_COUNTS = {
     ),
     "maxleaf": (
         max_leaf, "_try_trace", lambda: solve_max_leaf_xp(DOMSET_CLUSTER_TREE.instance),
-        (False, 36, 0), (False, 4175, 4175),
+        (False, 3024, 0), (False, 4175, 4175),
     ),
 }
 

@@ -1,19 +1,19 @@
 """Paired benchmark runs of two source trees, written as a `BENCH_<n>.json`.
 
     python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --out BENCH_N.json \
-        --seeds 1501-1510 [--workload W ...] [--seconds 20] \
-        [--parent-rev REV] [--what TEXT] [--claim WORKLOAD:METRIC]
+        --seeds 1501-1510 [--parent-rev REV] [--what TEXT] [--claim WORKLOAD:METRIC]
 
 PARENT_TREE and CHANGE_TREE are checkouts (each with `perfbench/run.py`
 and `src/`), best clean copies such as `git archive REV | tar -x -C DIR`
-makes.  For every workload (default: all of `BENCHMARK.json`) and seed, the
-script runs
+makes.  For every workload of `BENCHMARK.json` and every seed, the script
+runs
 
     python3 perfbench/run.py --workload W --seed SEED --seconds S --trace 0
 
-once in each tree, one run at a time.  The two sides take turns to run
-first: the parent runs first on the first, third, ... seed.  The file
-records every run (seed, side, whether it ran first, run.py's JSON) and,
+with S the benchmark's `run_seconds`, once in each tree, one run at a time.
+The two sides take turns to run first: the parent runs first on the first,
+third, ... seed.  The file records every run (seed, side, whether it ran
+first, run.py's JSON) and,
 per workload, a summary: whether every verdict was correct, the attempted
 and failed counts per side, and for each end-to-end metric of
 `BENCHMARK.json` the q1/median/q3 of each side (inclusive quartiles), the
@@ -38,6 +38,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+SECONDS = BENCHMARK["run_seconds"]
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 SIDES = ("parent", "change")
 
 
@@ -49,7 +51,7 @@ def parse_seeds(text: str) -> list:
     return [int(part) for part in text.split(",")]
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """run.py's last output line, parsed."""
     done = subprocess.run(
         [
@@ -57,7 +59,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "perfbench/run.py",
             "--workload", workload,
             "--seed", str(seed),
-            "--seconds", str(seconds),
+            "--seconds", str(SECONDS),
             "--trace", "0",
         ],
         cwd=tree,
@@ -124,13 +126,6 @@ def main(argv=None) -> int:
     parser.add_argument("change_tree", type=Path)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
-    parser.add_argument(
-        "--workload",
-        action="append",
-        choices=[w["name"] for w in BENCHMARK["workloads"]],
-        help="repeatable; default: every workload",
-    )
-    parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     parser.add_argument("--parent-rev", default="", help="recorded as `parent`")
     parser.add_argument("--what", default="", help="recorded as `what`")
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims a gain on")
@@ -142,13 +137,12 @@ def main(argv=None) -> int:
     for tree in trees.values():
         if not (tree / "perfbench" / "run.py").is_file():
             parser.error(f"no perfbench/run.py under {tree}")
-    workloads = args.workload or [w["name"] for w in BENCHMARK["workloads"]]
 
     report = {
         "what": args.what,
         "command": (
             "python3 perfbench/run.py --workload WORKLOAD --seed SEED "
-            f"--seconds {args.seconds:g} --trace 0"
+            f"--seconds {SECONDS} --trace 0"
         ),
         "parent": args.parent_rev,
         "machine": machine(),
@@ -160,16 +154,16 @@ def main(argv=None) -> int:
     if args.claim:
         workload, metric = args.claim.split(":")
         report["claimed"] = {"workload": workload, "metric": metric}
-    report["seeds"] = {w: args.seeds for w in workloads}
+    report["seeds"] = {w: args.seeds for w in WORKLOADS}
     report["summary"] = {}
-    report["runs"] = {w: [] for w in workloads}
+    report["runs"] = {w: [] for w in WORKLOADS}
 
-    for workload in workloads:
+    for workload in WORKLOADS:
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for first, side in zip((True, False), order):
                 try:
-                    result = run_once(trees[side], workload, seed, args.seconds)
+                    result = run_once(trees[side], workload, seed)
                 except (RuntimeError, json.JSONDecodeError) as err:
                     print(f"{side} {workload} seed {seed}: {err}", file=sys.stderr)
                     return 1
