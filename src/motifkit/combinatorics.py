@@ -17,19 +17,17 @@ def iter_set_partitions(items: Sequence, parts: int | None = None) -> Iterator[L
     """
     items = list(items)
     n = len(items)
-    if n == 0:
-        if parts in (None, 0):
-            yield []
-        return
 
     # rgs[i] = block index of items[i]; rgs[i] <= max(rgs[:i]) + 1
     def rec(i: int, rgs: List[int], nblocks: int):
+        # Too many blocks already, or too few items left to open the rest.
+        if parts is not None and not nblocks <= parts <= nblocks + n - i:
+            return
         if i == n:
-            if parts is None or nblocks == parts:
-                blocks: List[List] = [[] for _ in range(nblocks)]
-                for j, b in enumerate(rgs):
-                    blocks[b].append(items[j])
-                yield blocks
+            blocks: List[List] = [[] for _ in range(nblocks)]
+            for j, b in enumerate(rgs):
+                blocks[b].append(items[j])
+            yield blocks
             return
         for b in range(nblocks):
             rgs.append(b)

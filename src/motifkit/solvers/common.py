@@ -76,7 +76,10 @@ def restrict_family(
 
 
 def iter_guesses(
-    inst: Instance, candidates: Sequence[int], supply: Counter
+    inst: Instance,
+    candidates: Sequence[int],
+    supply: Counter,
+    links: Optional[Sequence[int]] = None,
 ) -> Iterator[Tuple[Tuple[int, ...], Counter]]:
     """Nonempty subsets of `candidates` whose colors fit in the motif and
     leave over no more of a color than `supply`, the most of it that the
@@ -86,6 +89,11 @@ def iter_guesses(
     counts only).  Smallest first, each size in `combinations` order.  A
     prefix is never extended once it overflows the motif or must still take
     more vertices than it has slots left, so no rejected subset is built.
+
+    With `links` (per candidate, a bitmask of the candidate indices linked
+    to it), a prefix is cut once one of its vertices cannot be reached from
+    its first through itself and the later candidates, or through itself
+    alone when full: only linked subsets come, in the same order.
     """
     colors = [inst.coloring[v] for v in candidates]
     left = dict(inst.motif.multiplicities)
@@ -93,9 +101,24 @@ def iter_guesses(
     short = sum(max(0, m - supply[c]) for c, m in left.items())
     n = len(candidates)
     prefix: List[int] = []
+    cut = links is not None
+    taken = 0  # bitmask of the prefix's candidate indices, kept only with `links`
+
+    def linked(last: int, size: int) -> bool:
+        # Whether a walk from the prefix's first vertex reaches all of it,
+        # through later candidates too while `size` more are to be taken.
+        allowed = taken | (-1 << last + 1 if size else 0)
+        reach = frontier = taken & -taken
+        while frontier and taken & ~reach:
+            low = frontier & -frontier
+            frontier ^= low
+            fresh = links[low.bit_length() - 1] & allowed & ~reach
+            reach |= fresh
+            frontier |= fresh
+        return not taken & ~reach
 
     def extend(start: int, size: int) -> Iterator[Tuple[Tuple[int, ...], Counter]]:
-        nonlocal short
+        nonlocal short, taken
         if short > size:
             return
         if size == 0:
@@ -109,7 +132,13 @@ def iter_guesses(
                 owed = m > supply[c]
                 short -= owed
                 prefix.append(candidates[i])
-                yield from extend(i + 1, size - 1)
+                if cut:
+                    taken |= 1 << i
+                    if start == 0 or linked(i, size - 1):
+                        yield from extend(i + 1, size - 1)
+                    taken ^= 1 << i
+                else:
+                    yield from extend(i + 1, size - 1)
                 prefix.pop()
                 short += owed
                 left[c] = m

@@ -48,45 +48,34 @@ def _solve_connected(inst: Instance) -> SolveOutcome:
 
     # The paths, which hold every vertex outside S, supply a leftover.
     supply = Counter(inst.coloring[v] for v in range(g.n) if v not in s)
-    linked = _link_test(inst, s, paths)
     fits = _attached_fit(inst, s, paths)
-    for t, remaining in iter_guesses(inst, sorted(s), supply):
-        if linked(t) and fits(t, remaining):
+    s_order = sorted(s)
+    links = _link_masks(inst, s_order, paths)
+    for t, remaining in iter_guesses(inst, s_order, supply, links):
+        if fits(t, remaining):
             outcome = _try_trace(inst, set(t), remaining, paths)
             if outcome is not None:
                 return outcome
     return SolveOutcome.no()
 
 
-def _link_test(
-    inst: Instance, s: Set[int], paths: List[PathComponent]
-) -> Callable[[Tuple[int, ...]], bool]:
-    """Whether a trace is connected in the link graph on S, where two
-    vertices are linked when adjacent or both attached to the ends of one
-    path.
+def _link_masks(inst: Instance, s: List[int], paths: List[PathComponent]) -> List[int]:
+    """Per vertex of the sorted S, the bitmask of the indices of the vertices
+    linked to it: adjacent ones and those attached to the ends of one path.
 
-    The trace of a connected solution is connected in this graph: every
+    The trace of a connected solution is connected in this link graph: every
     other vertex lies on a path and only its ends have neighbors in S, so a
     segment of the solution joins only vertices attached to one path.  A
     trace that is not linked fails the DP.
     """
-    links = {v: {u for u in inst.graph.adjacency[v] if u in s} for v in s}
+    index = {v: i for i, v in enumerate(s)}
+    links = [sum(1 << index[u] for u in inst.graph.adjacency[v] if u in index) for v in s]
     for path in paths:
-        ends = set(path.first_attach + path.last_attach)
-        for v in ends:
-            links[v] |= ends
-
-    def linked(t: Tuple[int, ...]) -> bool:
-        members = set(t)
-        reached = {t[0]}
-        stack = [t[0]]
-        while stack:
-            fresh = (links[stack.pop()] & members) - reached
-            reached |= fresh
-            stack.extend(fresh)
-        return len(reached) == len(members)
-
-    return linked
+        ends = {index[u] for u in path.first_attach + path.last_attach}
+        mask = sum(1 << i for i in ends)
+        for i in ends:
+            links[i] |= mask
+    return links
 
 
 def _attached_fit(

@@ -86,6 +86,15 @@ class TestSetPartitions:
     def test_fixed_part_count(self):
         assert sum(1 for _ in iter_set_partitions([0, 1, 2, 3], 2)) == stirling2(4, 2)
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_part_count_filters_the_full_sequence(self, n):
+        # Cutting prefixes that cannot end with `parts` blocks keeps the order.
+        every = list(iter_set_partitions(list(range(n))))
+        for parts in range(n + 2):
+            assert list(iter_set_partitions(list(range(n)), parts)) == [
+                blocks for blocks in every if len(blocks) == parts
+            ]
+
 
 @st.composite
 def graphs(draw, max_n=7):

@@ -471,9 +471,10 @@ def branching_instances(draw, max_n=12):
     return Instance(g, coloring, Motif(dict(motif)))
 
 
-def unbounded_guesses(inst, candidates, _supply):
-    """`iter_guesses` with no supply floor: every subset that fits the motif."""
-    return iter_guesses(inst, candidates, inst.motif.as_counter())
+def unbounded_guesses(inst, candidates, _supply, links=None):
+    """`iter_guesses` with no supply floor: every subset that fits the motif
+    (and is linked, if `links` is given)."""
+    return iter_guesses(inst, candidates, inst.motif.as_counter(), links)
 
 
 def fits_every_trace(inst, s, paths):
@@ -482,8 +483,8 @@ def fits_every_trace(inst, s, paths):
 
 
 def links_every_trace(inst, s, paths):
-    """`max_leaf._link_test` that lets every trace through."""
-    return lambda t: True
+    """`max_leaf._link_masks` that lets every trace through: no masks."""
+    return None
 
 
 @contextlib.contextmanager
@@ -493,7 +494,7 @@ def no_supply_bounds(module):
         stack.enter_context(mock.patch.object(module, "iter_guesses", unbounded_guesses))
         if module is max_leaf:
             stack.enter_context(
-                mock.patch.object(max_leaf, "_link_test", links_every_trace)
+                mock.patch.object(max_leaf, "_link_masks", links_every_trace)
             )
             stack.enter_context(
                 mock.patch.object(max_leaf, "_attached_fit", fits_every_trace)
@@ -595,18 +596,43 @@ class TestMaxLeafDP:
     @given(branching_instances())
     @settings(max_examples=200, deadline=None)
     def test_link_test_matches_reference(self, inst):
+        # A mask bit is set exactly when the two vertices form a linked trace.
         s, paths = degree3_decomposition(inst.graph)
-        linked = max_leaf._link_test(inst, s, paths)
-        for t, _ in iter_guesses(inst, sorted(s), inst.motif.as_counter()):
-            assert linked(t) == is_linked(inst.graph, paths, t), t
+        s = sorted(s)
+        links = max_leaf._link_masks(inst, s, paths)
+        for i, j in combinations(range(len(s)), 2):
+            expected = is_linked(inst.graph, paths, (s[i], s[j]))
+            assert bool(links[i] >> j & 1) == bool(links[j] >> i & 1) == expected
 
     @given(branching_instances())
     @settings(max_examples=200, deadline=None)
     def test_unlinked_traces_fail(self, inst):
         s, paths = degree3_decomposition(inst.graph)
-        for t, remaining in iter_guesses(inst, sorted(s), inst.motif.as_counter()):
-            if not is_linked(inst.graph, paths, t):
+        s = sorted(s)
+        motif = inst.motif.as_counter()
+        links = max_leaf._link_masks(inst, s, paths)
+        kept = {t for t, _ in iter_guesses(inst, s, motif, links)}
+        for t, remaining in iter_guesses(inst, s, motif):
+            if t not in kept:
                 assert ref_try_trace(inst, set(t), remaining, paths) is None, t
+
+    @given(branching_instances(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_linked_guesses_are_the_filtered_sequence(self, inst, real_supply):
+        # The cut prefixes lose only unlinked guesses: same order, same leftovers.
+        s, paths = degree3_decomposition(inst.graph)
+        supply = (
+            Counter(inst.coloring[v] for v in range(inst.graph.n) if v not in s)
+            if real_supply
+            else inst.motif.as_counter()
+        )
+        s = sorted(s)
+        links = max_leaf._link_masks(inst, s, paths)
+        assert list(iter_guesses(inst, s, supply, links)) == [
+            (t, left)
+            for t, left in iter_guesses(inst, s, supply)
+            if is_linked(inst.graph, paths, t)
+        ]
 
     @given(branching_instances())
     @settings(max_examples=200, deadline=None)
@@ -740,7 +766,7 @@ PINNED_COUNTS = {
     ),
     "maxleaf": (
         max_leaf, "_try_trace", lambda: solve_max_leaf_xp(DOMSET_CLUSTER_TREE.instance),
-        (False, 3024, 0), (False, 4175, 4175),
+        (False, 36, 0), (False, 4175, 4175),
     ),
 }
 
