@@ -3,9 +3,10 @@ decompositions and clique-cover validation."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -16,88 +17,97 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _deepen(
-    n: int, limit: Optional[int], attempt: Callable[[int], Optional[int]], lower: int
-) -> Optional[Set[int]]:
-    """Members of the mask `attempt(k)` finds for the least k that has one.
+Obstacle = Tuple[int, ...]
+Search = Callable[[int], Optional[Set[int]]]
 
-    Tries k = lower, lower + 1, ... up to n or the limit, where `lower` is a
-    lower bound on the minimum, so smaller k would fail anyway.  With a
-    limit, returns None once the minimum provably exceeds it.
-    """
-    cap = n if limit is None else min(limit, n)
-    for k in range(lower, cap + 1):
+
+def _deepen(
+    n: int, limit: Optional[int], attempt: Search, lower: int = 0
+) -> Optional[Set[int]]:
+    """What `attempt(k)` finds for the least k from `lower` on that finds
+    one; smaller k are known to fail.  With a limit, returns None once the
+    minimum provably exceeds it."""
+    for k in range(lower, (n if limit is None else min(limit, n)) + 1):
         found = attempt(k)
         if found is not None:
-            return {v for v in range(n) if found >> v & 1}
+            return found
     if limit is not None:
         return None
     raise AssertionError("unreachable")
 
 
-def _min_cover(nbr: Sequence[int]) -> Callable[[int], Optional[int]]:
-    """Search for a vertex cover of the graph with neighbour masks `nbr`.
+def _hitting_set(
+    n: int,
+    first: Callable[[int, int], Optional[Obstacle]],
+    packing: Callable[[int, Obstacle, int], int],
+) -> Search:
+    """Bounded search tree for a set of the vertices 0..n-1 that hits every
+    obstacle of a family, which two functions of the mask `left` of the
+    vertices not yet removed describe: `first(left, start)`, the first
+    obstacle inside left (a tuple of vertices, of one size for the whole
+    family; none lies before start), and `packing(left, obstacle, cap)`, how
+    many disjoint obstacles a greedy packing inside left holds from
+    `obstacle`, the first one, on, counted up to cap + 1.  Each of those
+    needs its own vertex of the set.
 
-    Returns attempt(budget): the mask of the first cover of at most budget
-    vertices, or None.  Bits of nbr[u] at or below u are ignored.  Each
-    branch node covers, in turn, u and v of the first uncovered edge (u, v),
-    u < v, taken u ascending then v ascending.  Covered vertices only
-    accumulate down a branch, so a child resumes the scan at its parent's u.
-    A node gives up when a greedy matching of its uncovered edges already
-    holds more edges than its budget: no cover below it fits, so the first
-    cover found is the same as without the check.
+    Returns attempt(budget): the first set of at most budget vertices found,
+    or None.  Each branch node removes, in turn, each vertex of the first
+    obstacle left; removing vertices creates no obstacle, so its children
+    resume the scan there.  A node gives up when its packing holds more
+    obstacles than its budget: no set below it fits, so the first set found
+    is the same as without the check.
     """
-    up = [(u, mask >> (u + 1) << (u + 1)) for u, mask in enumerate(nbr)]
-    up = [pair for pair in up if pair[1]]
-    n = len(nbr)
+    full = (1 << n) - 1
+    root = first(full, 0)
+    lower = 0 if root is None else packing(full, root, n)
 
-    def matching(covered: int, start: int, cap: int) -> int:
-        """How many edges a greedy matching of the uncovered edges from
-        up[start] on holds, counted up to cap + 1.  Disjoint edges need a
-        cover vertex each."""
-        size = 0
-        for i in range(start, len(up)):
-            u, mask = up[i]
-            rest = mask & ~covered
-            if rest and not covered >> u & 1:
-                covered |= 1 << u | rest & -rest
-                size += 1
-                if size > cap:
-                    break
-        return size
-
-    lower = matching(0, 0, n)
-
-    def attempt(total: int) -> Optional[int]:
-        if total < lower:
+    def branch(left: int, start: int, budget: int) -> Optional[int]:
+        hit = first(left, start)
+        if hit is None:
+            return left
+        # A packing holds at most one obstacle per len(hit) vertices left.
+        if budget == 0 or (
+            budget < left.bit_count() // len(hit)
+            and packing(left, hit, budget) > budget
+        ):
             return None
-        # A node of budget b has covered total - b vertices, so a matching
-        # there holds at most half of the n - total + b left.  The greedy one
-        # tends to fall an edge or two short of that, so it is taken only
-        # where b + 2 edges would fit, b < n - total - 3, and only from b = 3
-        # on: below that the children run out of budget within a level or two.
-        check = max(n - total - 3, 1)
+        for x in hit:
+            found = branch(left & ~(1 << x), hit[0], budget - 1)
+            if found is not None:
+                return found
+        return None
 
-        def branch(covered: int, start: int, budget: int) -> Optional[int]:
-            for i in range(start, len(up)):
-                u, mask = up[i]
-                rest = mask & ~covered
-                if rest and not covered >> u & 1:
-                    if budget < check and (
-                        budget == 0
-                        or budget > 2 and matching(covered, i, budget) > budget
-                    ):
-                        return None
-                    for w in (u, _lowest(rest)):
-                        found = branch(covered | 1 << w, i, budget - 1)
-                        if found is not None:
-                            return found
-                    return None
-            return covered
-
-        return branch(0, 0, total)
+    def attempt(budget: int) -> Optional[Set[int]]:
+        left = None if budget < lower else branch(full, 0, budget)
+        return None if left is None else {v for v in range(n) if not left >> v & 1}
 
     return attempt
+
+
+# The vertex-cover family: the edges (u, v), u < v, of the graph with
+# neighbour masks `nbr`, u ascending then v ascending.  No edge inside
+# `left` has an end below `start`, so a vertex's neighbours in left lie
+# above it wherever the scans look.
+
+
+def _next_edge(nbr: Sequence[int], left: int, start: int) -> Optional[Obstacle]:
+    for u in range(start, len(nbr)):
+        rest = nbr[u] & left
+        if rest and left >> u & 1:
+            return u, _lowest(rest)
+    return None
+
+
+def _matching(nbr: Sequence[int], left: int, edge: Obstacle, cap: int) -> int:
+    size = 0
+    for u in range(edge[0], len(nbr)):
+        rest = nbr[u] & left
+        if rest and left >> u & 1:
+            left &= ~(1 << u | rest & -rest)
+            size += 1
+            if size > cap:
+                break
+    return size
 
 
 def _buss_cover(
@@ -105,39 +115,42 @@ def _buss_cover(
 ) -> Optional[Set[int]]:
     """Minimum vertex cover of g, or of its complement, kernel first.
 
-    Tries k = 0, 1, ... up to n or the limit (Buss's rule).  A vertex of
-    degree > k is in every cover of at most k vertices, so the f such
-    vertices are forced, and f > k fails at once.  What is left has degrees
-    of at most k, so k - f vertices cover at most (k - f) * k of its edges.
-    Otherwise `_min_cover` branches on the kernel, the vertices that still
-    touch an edge, with budget exactly k - f: smaller k failed, so the
-    kernel has no smaller cover.  Only the kernel gets bitmasks, built again
-    only when the forced set changes.  Degrees come from row lengths, and
-    the edges the forced vertices cover from their rows alone.  The cover
-    found is the one the same branching finds over the whole graph.
+    For each k, a vertex of degree > k is in every cover of at most k
+    vertices (Buss's rule): the f such vertices are forced, so k starts at
+    the least k with f <= k.  The rest has degrees of at most k, so k - f
+    vertices cover at most (k - f) * k of its edges.  Otherwise
+    `_hitting_set` branches on the kernel, the vertices that still touch an
+    edge, with budget exactly k - f: smaller k failed.  Only the kernel gets
+    bitmasks, built again only when the forced set changes.  Degrees come
+    from row lengths, and the edges the forced vertices cover from their
+    rows alone.  The cover found is the one the same branching finds over
+    the whole graph.
     """
     n, rows = g.n, g.adjacency
     degree = [n - 1 - len(row) if complement else len(row) for row in rows]
     edges = sum(degree) // 2
     ascending = sorted(degree)
     by_degree = sorted(range(n), key=degree.__getitem__, reverse=True)
-    cap = n if limit is None else min(limit, n)
-    known = -1  # the f whose forced set the variables below describe
-    for k in range(cap + 1):
+    known = -1  # the f whose forced set the names below describe
+    forced: List[int]
+    hits: Counter  # per vertex, how many forced vertices are its g-neighbours
+    uncovered: int  # how many edges the forced vertices leave uncovered
+    kernel: List[int]
+    search: Optional[Search]
+
+    def attempt(k: int) -> Optional[Set[int]]:
+        nonlocal known, forced, hits, uncovered, kernel, search
         f = n - bisect_right(ascending, k)
-        if f > k:
-            continue
         if f != known:
-            known, forced, attempt = f, by_degree[:f], None
-            # hits[v]: how many forced vertices are v's neighbours in g.
+            known, forced, search = f, by_degree[:f], None
             hits = Counter(w for u in forced for w in rows[u])
             inside = sum(hits[u] for u in forced)  # twice the g-edges among them
             if complement:
                 inside = f * (f - 1) - inside
-            left = edges - sum(degree[u] for u in forced) + inside // 2
-        if left > (k - f) * k:
-            continue
-        if attempt is None:
+            uncovered = edges - sum(degree[u] for u in forced) + inside // 2
+        if uncovered > (k - f) * k:
+            return None
+        if search is None:
             fset = set(forced)
             kernel = [
                 v
@@ -150,26 +163,28 @@ def _buss_cover(
             if complement:
                 everyone = (1 << len(kernel)) - 1
                 masks = [everyone ^ mask ^ bits[v] for v, mask in zip(kernel, masks)]
-            attempt = _min_cover(masks)
-        found = attempt(k - f)
-        if found is not None:
-            return {*forced, *(v for i, v in enumerate(kernel) if found >> i & 1)}
-    if limit is not None:
-        return None
-    raise AssertionError("unreachable")
+            search = _hitting_set(
+                len(masks), partial(_next_edge, masks), partial(_matching, masks)
+            )
+        found = search(k - f)
+        return None if found is None else {*forced, *map(kernel.__getitem__, found)}
+
+    # f <= k holds where the (k + 1)-th largest degree is at most k.
+    lower = bisect_left(range(n), True, key=lambda k: ascending[n - 1 - k] <= k)
+    return _deepen(n, limit, attempt, lower)
 
 
 def min_vertex_cover(g: Graph, limit: Optional[int] = None) -> Optional[Set[int]]:
-    """A minimum vertex cover: Buss's kernel, then 2-way edge branching.
-
-    With a limit, gives up and returns None once the minimum provably
-    exceeds it (used for cheap parameter probing).
-    """
+    """A minimum vertex cover: Buss's kernel, then `_hitting_set` removing
+    either end of the first uncovered edge.  With a limit, gives up and
+    returns None once the minimum provably exceeds it (used for cheap
+    parameter probing)."""
     return _buss_cover(g, False, limit)
 
 
 def dist_to_clique_set(g: Graph, limit: Optional[int] = None) -> Optional[Set[int]]:
-    """Minimum set whose removal leaves a clique: vertex cover of the complement."""
+    """Minimum set whose removal leaves a clique: the vertex cover of the
+    complement, by `min_vertex_cover`'s search."""
     return _buss_cover(g, True, limit)
 
 
@@ -200,48 +215,28 @@ def _find_co_p3(g: Graph) -> Optional[Tuple[int, int, int]]:
     return _next_co_p3(g.neighbour_masks(), (1 << g.n) - 1)
 
 
+def _co_p3_packing(
+    nbr: Sequence[int], left: int, bad: Optional[Obstacle], cap: int
+) -> int:
+    """The co-P3 family's packing: disjoint co-P3s in `_next_co_p3`'s order."""
+    size = 0
+    while bad is not None and size <= cap:
+        left &= ~(1 << bad[0] | 1 << bad[1] | 1 << bad[2])
+        size += 1
+        bad = _next_co_p3(nbr, left, bad[0])
+    return size
+
+
 def dist_to_co_cluster_set(
     g: Graph, limit: Optional[int] = None
 ) -> Optional[Set[int]]:
-    """Minimum deletion set leaving a co-cluster, by 3-way branching.
-
-    Each branch node removes, in turn, u, v and w of the first co-P3 left.
-    Removing vertices creates no co-P3, so a child resumes the scan at its
-    parent's u.  A node gives up when a greedy packing of disjoint co-P3s
-    left already holds more than its budget.  With a limit, returns None once
-    the minimum provably exceeds it.
-    """
+    """Minimum deletion set leaving a co-cluster: `_hitting_set` removing u,
+    v or w of the first co-P3 (u, v, w) left, an edge plus a vertex adjacent
+    to neither end.  With a limit, returns None once the minimum provably
+    exceeds it."""
     nbr = g.neighbour_masks()
-    full = (1 << g.n) - 1
-
-    def packing(alive: int, bad: Optional[Tuple[int, int, int]], cap: int) -> int:
-        """How many disjoint co-P3s a greedy packing in `alive` holds,
-        starting from `bad`, the first one there, counted up to cap + 1.
-        Disjoint co-P3s need a deleted vertex each."""
-        size = 0
-        while bad is not None and size <= cap:
-            alive &= ~(1 << bad[0] | 1 << bad[1] | 1 << bad[2])
-            size += 1
-            bad = _next_co_p3(nbr, alive, bad[0])
-        return size
-
-    def branch(alive: int, start: int, budget: int) -> Optional[int]:
-        bad = _next_co_p3(nbr, alive, start)
-        if bad is None:
-            return full ^ alive
-        # A packing holds at most a third of the vertices left.
-        if budget == 0 or (
-            budget < alive.bit_count() // 3 and packing(alive, bad, budget) > budget
-        ):
-            return None
-        for x in bad:
-            found = branch(alive & ~(1 << x), bad[0], budget - 1)
-            if found is not None:
-                return found
-        return None
-
-    lower = packing(full, _next_co_p3(nbr, full), g.n)
-    return _deepen(g.n, limit, lambda k: branch(full, 0, k), lower)
+    search = _hitting_set(g.n, partial(_next_co_p3, nbr), partial(_co_p3_packing, nbr))
+    return _deepen(g.n, limit, search)
 
 
 def is_co_cluster(g: Graph) -> bool:

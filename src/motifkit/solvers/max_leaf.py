@@ -194,26 +194,15 @@ def _try_trace(
     def pack(counts: Counter) -> int:
         return sum(m << shift[c] for c, m in counts.items())
 
-    def canon(partition: Tuple[int, ...]) -> Tuple[int, ...]:
-        seen: Dict[int, int] = {}
-        out = []
-        for p in partition:
-            if p not in seen:
-                seen[p] = len(seen)
-            out.append(seen[p])
-        return tuple(out)
-
     def merge(
         partition: Tuple[int, ...], groups: Tuple[Set[int], ...]
     ) -> Tuple[int, ...]:
         """Join the components of each group, one group at a time."""
         for touched in groups:
-            roots = {partition[i] for i in touched}
-            if len(roots) > 1:
-                new_root = min(roots)
-                partition = canon(
-                    tuple(new_root if p in roots else p for p in partition)
-                )
+            blocks = {partition[i] for i in touched}
+            if len(blocks) > 1:
+                joined = reduce(or_, blocks)
+                partition = tuple(joined if p & joined else p for p in partition)
         return partition
 
     options = [_path_options(inst, p, t_set, comp_of, remaining) for p in paths]
@@ -224,13 +213,14 @@ def _try_trace(
         supply.insert(0, supply[0] + reduce(or_, path_counts))
 
     # Each layer maps a state (packed remaining counts, partition of the
-    # trace's components) to its first producer: (parent state, option).
+    # trace's components, as the bitmask of each component's block) to its
+    # first producer: (parent state, option).
     # `bound - new` keeps every guard iff no colour still needs more than the
     # later paths supply; a state failing that cannot reach the goal, while
     # every parent of one that can reaches it too, so dropping it keeps the
     # goal's first producer and with it the witness.
     State = Tuple[int, Tuple[int, ...]]
-    start = (guards + pack(remaining), tuple(range(n_comps)))
+    start = (guards + pack(remaining), tuple(1 << i for i in range(n_comps)))
     states: Dict[State, object] = {start: None}
     layers: List[Dict[State, Tuple[State, int]]] = []
     for opts, path_counts, later in zip(options, counts, supply[1:]):
@@ -253,7 +243,7 @@ def _try_trace(
         layers.append(nxt)
         states = nxt
 
-    state = (guards, tuple([0] * n_comps))
+    state = (guards, ((1 << n_comps) - 1,) * n_comps)
     if state not in states:
         return None
     chosen: List[int] = []

@@ -413,7 +413,8 @@ def count_branch_nodes(search):
 
 class TestPackingBoundAtEveryNode:
     # x3c-superstar of four triples (q = 2): 17 vertices, a vertex cover and
-    # a co-cluster deletion set of 12 each, so both capped probes give up.
+    # a co-cluster deletion set of 12 each, so both capped probes give up,
+    # and a distance to clique of 13.
     GRAPH = gen_x3c_superstar_cliques(
         X3cInstance(2, ((0, 2, 4), (0, 1, 3), (1, 3, 5), (1, 4, 5)))
     ).instance.graph
@@ -437,6 +438,17 @@ class TestPackingBoundAtEveryNode:
         assert found is None
         # With the matching checked at the root only: 3,581 nodes.
         assert nodes <= 600
+
+    def test_dist_clique_probe_visits_few_nodes(self):
+        # The distance to clique is 13.  Buss's rule rejects every smaller
+        # budget before the complement search branches at all.
+        found, nodes = count_branch_nodes(lambda: dist_to_clique_set(self.GRAPH, 12))
+        assert found is None
+        assert nodes == 0
+        found, nodes = count_branch_nodes(lambda: dist_to_clique_set(self.GRAPH, 13))
+        assert len(found) == 13
+        # With the bounds of the separate vertex-cover search: 14 nodes.
+        assert nodes <= 14
 
     def test_exact_searches_still_find_the_minimum(self):
         assert len(min_vertex_cover(self.GRAPH)) == 12
