@@ -11,7 +11,7 @@ from typing import List, Optional, Set
 
 from ..core import Graph, Instance, Motif, SolveOutcome, connected_components, restrict
 from ..estimators import co_cluster_classes, dist_to_co_cluster_set
-from .common import dispatch_deletion_set, try_witness
+from .common import dispatch_deletion_set
 from .dist_clique import _solve_connected as _solve_dc_connected
 from .vertex_cover import solve_vertex_cover
 
@@ -25,7 +25,7 @@ def solve_co_cluster(
     )
 
 
-def _solve_connected(inst: Instance, x: Set[int]) -> SolveOutcome:
+def _solve_connected(inst: Instance, x: Set[int]) -> Optional[List[int]]:
     g = inst.graph
     rest = [v for v in range(g.n) if v not in x]
     classes = [
@@ -37,9 +37,9 @@ def _solve_connected(inst: Instance, x: Set[int]) -> SolveOutcome:
     if not classes:
         return _solve_on_subset(inst, sorted(x), x)
     for cls in classes:
-        outcome = _solve_on_subset(inst, sorted(x | set(cls)), x)
-        if outcome.is_yes:
-            return outcome
+        found = _solve_on_subset(inst, sorted(x | set(cls)), x)
+        if found is not None:
+            return found
 
     # Case B: two vertices s, t from distinct classes are in the solution.
     # Intra-class edges are added (they cannot hurt: s and t glue the
@@ -56,30 +56,29 @@ def _solve_connected(inst: Instance, x: Set[int]) -> SolveOutcome:
         for cls_t in classes[i + 1 :]:
             for s in cls_s:
                 for t in cls_t:
-                    outcome = _try_pair(inst, completed, x, s, t)
-                    if outcome is not None:
-                        return outcome
-    return SolveOutcome.no()
+                    found = _try_pair(inst, completed, x, s, t)
+                    if found is not None:
+                        return found
+    return None
 
 
 def _solve_on_subset(
     inst: Instance, vertices: List[int], cover: Set[int]
-) -> SolveOutcome:
+) -> Optional[List[int]]:
     sub, ids = restrict(inst, vertices)
     outcome = solve_vertex_cover(sub, {i for i, v in enumerate(ids) if v in cover})
-    if outcome.is_yes:
-        return SolveOutcome.yes(ids[v] for v in outcome.witness)
-    return outcome
+    return [ids[v] for v in outcome.witness] if outcome.is_yes else None
 
 
 def _try_pair(
     inst: Instance, completed: Graph, x: Set[int], s: int, t: int
-) -> Optional[SolveOutcome]:
+) -> Optional[List[int]]:
     motif = inst.motif
     if not motif.contains([inst.coloring[s], inst.coloring[t]]):
         return None
     if motif.total == 2:
-        return try_witness(inst, [s, t])
+        # Vertices of distinct classes are adjacent.
+        return [s, t]
 
     # Contract the (adjacent) pair s, t into one vertex carrying a fresh
     # color of multiplicity one, so the clique-distance solver is forced to
@@ -113,10 +112,9 @@ def _try_pair(
         c for c in connected_components(sub, range(sub.n)) if w in c
     )
     comp_inst, ids = restrict(Instance(sub, coloring, rest_motif), comp)
-    outcome = _solve_dc_connected(
+    found = _solve_dc_connected(
         comp_inst, {i for i, v in enumerate(ids) if v in sub_cover}
     )
-    if outcome.is_yes:
-        y = [keep[ids[v]] for v in outcome.witness if ids[v] != w]
-        return try_witness(inst, y + [s, t])
-    return None
+    if found is None:
+        return None
+    return [keep[ids[v]] for v in found if ids[v] != w] + [s, t]

@@ -19,34 +19,43 @@ from ..core import (
 
 def dispatch_components(
     inst: Instance,
-    solve_connected: Callable[[Instance, List[int]], SolveOutcome],
+    solve_connected: Callable[[Instance, List[int]], Optional[Sequence[int]]],
 ) -> SolveOutcome:
     """Prune off-color vertices, then try each connected component.
 
     A solution is connected, so it lives inside a single component.  Each
     component is restricted to a sub-instance with the same motif and passed
     to `solve_connected` together with its `ids` (original vertex ids), so
-    the solver can restrict any structure it was given.  Witnesses are lifted
-    back to original ids and verified.
+    the solver can restrict any structure it was given; it returns the
+    witness's vertices, in any order, or None.  A motif of one vertex is
+    answered here, by the lowest vertex pruning keeps.  The witness is
+    lifted back to original ids and verified: this is the one check.
     """
     pruned, pruned_ids = prune_wrong_colors(inst)
-    for comp in connected_components(pruned.graph, range(pruned.graph.n)):
-        if len(comp) < inst.motif.total:
-            continue
-        sub, ids = restrict(inst, [pruned_ids[v] for v in comp])
-        outcome = solve_connected(sub, ids)
-        if outcome.is_yes:
-            witness = [ids[v] for v in outcome.witness]
-            # An explicit check, not an assert, so it also runs under -O.
-            if not verify_solution(inst, witness):
-                raise AssertionError(f"solver returned an invalid witness {witness}")
-            return SolveOutcome.yes(witness)
-    return SolveOutcome.no()
+    witness: Optional[List[int]] = None
+    if inst.motif.total == 1:
+        # Pruning keeps only vertices of the motif's one color.
+        witness = pruned_ids[:1] or None
+    else:
+        for comp in connected_components(pruned.graph, range(pruned.graph.n)):
+            if len(comp) < inst.motif.total:
+                continue
+            sub, ids = restrict(inst, [pruned_ids[v] for v in comp])
+            found = solve_connected(sub, ids)
+            if found is not None:
+                witness = [ids[v] for v in found]
+                break
+    if witness is None:
+        return SolveOutcome.no()
+    # An explicit check, not an assert, so it also runs under -O.
+    if not verify_solution(inst, witness):
+        raise AssertionError(f"solver returned an invalid witness {witness}")
+    return SolveOutcome.yes(witness)
 
 
 def dispatch_deletion_set(
     inst: Instance,
-    solve_connected: Callable[[Instance, Set[int]], SolveOutcome],
+    solve_connected: Callable[[Instance, Set[int]], Optional[Sequence[int]]],
     given: Optional[Set[int]],
     estimate: Callable[[Graph], Set[int]],
 ) -> SolveOutcome:
@@ -58,7 +67,7 @@ def dispatch_deletion_set(
     clique, an edgeless graph or a co-cluster is one again.
     """
 
-    def run(sub: Instance, ids: List[int]) -> SolveOutcome:
+    def run(sub: Instance, ids: List[int]) -> Optional[Sequence[int]]:
         if given is None:
             return solve_connected(sub, estimate(sub.graph))
         return solve_connected(sub, {i for i, v in enumerate(ids) if v in given})
@@ -199,10 +208,3 @@ def pick_by_colors(
         return None
     return picks
 
-
-def try_witness(inst: Instance, vertices: Iterable[int]) -> Optional[SolveOutcome]:
-    """Verified Yes outcome, or None if the candidate fails the checks."""
-    vs = sorted(set(vertices))
-    if verify_solution(inst, vs):
-        return SolveOutcome.yes(vs)
-    return None

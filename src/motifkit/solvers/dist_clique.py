@@ -13,8 +13,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..core import Instance, SolveOutcome, connected_components
 from ..csct import CsctInstance, solve_csct
 from ..estimators import dist_to_clique_set
-from .common import dispatch_deletion_set, iter_guesses
-from .common import pick_by_colors, try_witness
+from .common import dispatch_deletion_set, iter_guesses, pick_by_colors
 
 
 def solve_dist_clique(
@@ -26,7 +25,7 @@ def solve_dist_clique(
     )
 
 
-def _solve_connected(inst: Instance, s: Set[int]) -> SolveOutcome:
+def _solve_connected(inst: Instance, s: Set[int]) -> Optional[List[int]]:
     g = inst.graph
     motif = inst.motif
     clique = [v for v in range(g.n) if v not in s]
@@ -35,9 +34,7 @@ def _solve_connected(inst: Instance, s: Set[int]) -> SolveOutcome:
     # Solution entirely inside the clique: any color-feasible pick works.
     picks = pick_by_colors(inst, motif.as_counter(), clique, set())
     if picks is not None:
-        outcome = try_witness(inst, picks)
-        if outcome is not None:
-            return outcome
+        return picks
 
     # Per-vertex adjacency into S as a bitmask, for fast set construction,
     # filled from S's side: only S's rows are walked.
@@ -50,10 +47,10 @@ def _solve_connected(inst: Instance, s: Set[int]) -> SolveOutcome:
     supply = Counter(inst.coloring[v] for v in clique)
 
     for s_prime, remaining in iter_guesses(inst, s_list, supply):
-        outcome = _try_guess(inst, s_prime, remaining, clique, s_index, nbr_mask)
-        if outcome is not None:
-            return outcome
-    return SolveOutcome.no()
+        found = _try_guess(inst, s_prime, remaining, clique, s_index, nbr_mask)
+        if found is not None:
+            return found
+    return None
 
 
 def _try_guess(
@@ -63,12 +60,11 @@ def _try_guess(
     clique: List[int],
     s_index: Dict[int, int],
     nbr_mask: List[int],
-) -> Optional[SolveOutcome]:
-    if not remaining:
-        # S' would be the whole solution.
-        return try_witness(inst, s_prime)
-
+) -> Optional[List[int]]:
     comps = connected_components(inst.graph, s_prime)
+    if not remaining:
+        # S' would be the whole solution, which it is only if connected.
+        return list(s_prime) if len(comps) == 1 else None
     comp_masks = [
         sum(1 << s_index[v] for v in comp) for comp in comps
     ]
@@ -108,4 +104,4 @@ def _try_guess(
     )
     if completion is None:
         return None
-    return try_witness(inst, list(s_prime) + chosen + completion)
+    return list(s_prime) + chosen + completion

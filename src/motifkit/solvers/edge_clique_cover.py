@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 
 from ..core import Graph, InputError, Instance, Motif, SolveOutcome
 from ..estimators import validate_clique_cover
-from .common import dispatch_components, iter_connected, restrict_family, try_witness
+from .common import dispatch_components, iter_connected, restrict_family
 from .vertex_cover import _solve_connected as _solve_vc_connected
 
 
@@ -27,18 +27,9 @@ def solve_edge_clique_cover(
     )
 
 
-def _solve_connected(inst: Instance, cover: List[List[int]]) -> SolveOutcome:
+def _solve_connected(inst: Instance, cover: List[List[int]]) -> Optional[List[int]]:
     g = inst.graph
     motif = inst.motif
-
-    # Single-vertex solutions need no clique at all.
-    if motif.total == 1:
-        color = motif.colors()[0]
-        for v in range(g.n):
-            if inst.coloring[v] == color:
-                return SolveOutcome.yes([v])
-        return SolveOutcome.no()
-
     cliques = [sorted(set(c)) for c in cover]
     # Two cliques are adjacent when they share a vertex.  Cliques covering a
     # spanning tree of the solution form a connected family of at most |M|-1
@@ -53,13 +44,13 @@ def _solve_connected(inst: Instance, cover: List[List[int]]) -> SolveOutcome:
     ]
     for size in range(1, min(len(cliques), motif.total - 1) + 1):
         for family in iter_connected(meets, size):
-            outcome = _try_family(inst, [cliques[i] for i in sorted(family)])
-            if outcome is not None:
-                return outcome
-    return SolveOutcome.no()
+            found = _try_family(inst, [cliques[i] for i in sorted(family)])
+            if found is not None:
+                return found
+    return None
 
 
-def _try_family(inst: Instance, family: List[List[int]]) -> Optional[SolveOutcome]:
+def _try_family(inst: Instance, family: List[List[int]]) -> Optional[List[int]]:
     motif = inst.motif
     union = sorted({v for c in family for v in c})
     counts = Counter(inst.coloring[v] for v in union)
@@ -79,8 +70,7 @@ def _try_family(inst: Instance, family: List[List[int]]) -> Optional[SolveOutcom
     new_motif = Motif({**motif.multiplicities, fresh: k})
     sub = Instance(b, coloring, new_motif)
 
-    outcome = _solve_vc_connected(sub, set(range(k)))
-    if not outcome.is_yes:
+    found = _solve_vc_connected(sub, set(range(k)))
+    if found is None:
         return None
-    witness = [union[w - k] for w in outcome.witness if w >= k]
-    return try_witness(inst, witness)
+    return [union[w - k] for w in found if w >= k]

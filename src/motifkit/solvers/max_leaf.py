@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core import Instance, SolveOutcome, connected_components
 from ..estimators import PathComponent, degree3_decomposition
-from .common import dispatch_components, iter_guesses, try_witness
+from .common import dispatch_components, iter_guesses
 from .paths import solve_on_path
 
 
@@ -25,14 +25,8 @@ def solve_max_leaf_xp(inst: Instance) -> SolveOutcome:
     return dispatch_components(inst, lambda sub, _: _solve_connected(sub))
 
 
-def _solve_connected(inst: Instance) -> SolveOutcome:
+def _solve_connected(inst: Instance) -> Optional[List[int]]:
     g = inst.graph
-    if g.n == 1:
-        return (
-            SolveOutcome.yes([0])
-            if inst.motif.matches([inst.coloring[0]])
-            else SolveOutcome.no()
-        )
     if g.n >= 3 and all(g.degree(v) == 2 for v in range(g.n)):
         return _solve_cycle(inst)
     s, paths = degree3_decomposition(g)
@@ -44,7 +38,7 @@ def _solve_connected(inst: Instance) -> SolveOutcome:
         window = solve_on_path(word, inst.motif)
         if window is not None:
             i, j = window
-            return SolveOutcome.yes(path.vertices[i : j + 1])
+            return path.vertices[i : j + 1]
 
     # The paths, which hold every vertex outside S, supply a leftover.
     supply = Counter(inst.coloring[v] for v in range(g.n) if v not in s)
@@ -53,10 +47,10 @@ def _solve_connected(inst: Instance) -> SolveOutcome:
     links = _link_masks(inst, s_order, paths)
     for t, remaining in iter_guesses(inst, s_order, supply, links):
         if fits(t, remaining):
-            outcome = _try_trace(inst, set(t), remaining, paths)
-            if outcome is not None:
-                return outcome
-    return SolveOutcome.no()
+            found = _try_trace(inst, set(t), remaining, paths)
+            if found is not None:
+                return found
+    return None
 
 
 def _link_masks(inst: Instance, s: List[int], paths: List[PathComponent]) -> List[int]:
@@ -98,7 +92,7 @@ def _attached_fit(
     return fits
 
 
-def _solve_cycle(inst: Instance) -> SolveOutcome:
+def _solve_cycle(inst: Instance) -> Optional[List[int]]:
     g = inst.graph
     order = [0, g.adjacency[0][0]]
     while len(order) < g.n:
@@ -106,14 +100,14 @@ def _solve_cycle(inst: Instance) -> SolveOutcome:
         order.append(next(u for u in g.adjacency[cur] if u != prev))
     total = inst.motif.total
     if total > g.n:
-        return SolveOutcome.no()
+        return None
     # The doubled order cut to n + total - 1 vertices has one window per start.
     doubled = (order + order)[: g.n + total - 1]
     window = solve_on_path([inst.coloring[v] for v in doubled], inst.motif)
     if window is None:
-        return SolveOutcome.no()
+        return None
     i, j = window
-    return SolveOutcome.yes(doubled[i : j + 1])
+    return doubled[i : j + 1]
 
 
 def _path_options(
@@ -177,7 +171,7 @@ def _path_options(
 
 def _try_trace(
     inst: Instance, t_set: Set[int], remaining: Counter, paths: List[PathComponent]
-) -> Optional[SolveOutcome]:
+) -> Optional[List[int]]:
     comps = connected_components(inst.graph, t_set)
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     n_comps = len(comps)
@@ -250,4 +244,4 @@ def _try_trace(
     for opts, layer in zip(reversed(options), reversed(layers)):
         state, idx = layer[state]
         chosen += opts[idx][0]
-    return try_witness(inst, sorted(t_set) + chosen)
+    return sorted(t_set) + chosen

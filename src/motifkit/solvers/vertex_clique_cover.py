@@ -22,13 +22,7 @@ from ..combinatorics import (
     max_matching_with_cover,
 )
 from ..estimators import validate_clique_cover
-from .common import (
-    dispatch_components,
-    iter_connected,
-    pick_by_colors,
-    restrict_family,
-    try_witness,
-)
+from .common import dispatch_components, iter_connected, pick_by_colors, restrict_family
 
 TreeEdge = Tuple[int, int]
 Group = int
@@ -48,16 +42,14 @@ def solve_vertex_clique_cover(
     )
 
 
-def _solve_connected(inst: Instance, cliques: List[List[int]]) -> SolveOutcome:
+def _solve_connected(inst: Instance, cliques: List[List[int]]) -> Optional[List[int]]:
     motif = inst.motif
 
     # Solutions inside a single clique: a multiset check suffices.
     for clique in cliques:
         picks = pick_by_colors(inst, motif.as_counter(), clique, set())
         if picks is not None:
-            outcome = try_witness(inst, picks)
-            if outcome is not None:
-                return outcome
+            return picks
 
     pairs = _color_pairs(inst, cliques)
     # Cliques are adjacent when a usable transversal edge joins them; the
@@ -68,10 +60,10 @@ def _solve_connected(inst: Instance, cliques: List[List[int]]) -> SolveOutcome:
         adjacency[j].append(i)
     for size in range(2, min(len(cliques), motif.total) + 1):
         for family in iter_connected(adjacency, size):
-            outcome = _try_family(inst, cliques, tuple(sorted(family)), pairs)
-            if outcome is not None:
-                return outcome
-    return SolveOutcome.no()
+            found = _try_family(inst, cliques, tuple(sorted(family)), pairs)
+            if found is not None:
+                return found
+    return None
 
 
 def _color_pairs(inst: Instance, cliques: List[List[int]]) -> ColorGraphs:
@@ -110,7 +102,7 @@ def _try_family(
     cliques: List[List[int]],
     family: Tuple[int, ...],
     pairs: ColorGraphs,
-) -> Optional[SolveOutcome]:
+) -> Optional[List[int]]:
     motif = inst.motif
     union = [v for i in family for v in cliques[i]]
     counts = Counter(inst.coloring[v] for v in union)
@@ -125,9 +117,9 @@ def _try_family(
         if (i, j) in pairs
     }
     for edges in iter_spanning_trees(len(family), color_graphs):
-        outcome = _try_tree(inst, cliques, family, edges, color_graphs)
-        if outcome is not None:
-            return outcome
+        found = _try_tree(inst, cliques, family, edges, color_graphs)
+        if found is not None:
+            return found
     return None
 
 
@@ -137,7 +129,7 @@ def _try_tree(
     family: Tuple[int, ...],
     edges: List[TreeEdge],
     color_graphs: ColorGraphs,
-) -> Optional[SolveOutcome]:
+) -> Optional[List[int]]:
     # Endpoint slots (edge, side) per clique; sharing patterns group slots
     # whose transversal edges meet in a common vertex.
     slots: List[List[Tuple[TreeEdge, int]]] = [[] for _ in family]
@@ -153,11 +145,9 @@ def _try_tree(
                 for e, side in block:
                     ends[e][side] = len(group_clique)
                 group_clique.append(a)
-        outcome = _search_colors(
-            inst, cliques, family, ends, color_graphs, group_clique
-        )
-        if outcome is not None:
-            return outcome
+        found = _search_colors(inst, cliques, family, ends, color_graphs, group_clique)
+        if found is not None:
+            return found
     return None
 
 
@@ -168,7 +158,7 @@ def _search_colors(
     ends: Dict[TreeEdge, List[Group]],
     color_graphs: ColorGraphs,
     group_clique: List[int],
-) -> Optional[SolveOutcome]:
+) -> Optional[List[int]]:
     motif = inst.motif
     abundance = max(1, 2 * len(family) - 3)
 
@@ -181,7 +171,7 @@ def _search_colors(
 
     def search(
         fixed: Dict[Group, int], resolved: Set[TreeEdge], abundant: Set[TreeEdge]
-    ) -> Optional[SolveOutcome]:
+    ) -> Optional[List[int]]:
         e = next((e for e in ends if e not in resolved and e not in abundant), None)
         if e is None:
             # Every edge resolved or abundant: assign the remaining groups.
@@ -220,7 +210,7 @@ def _search_colors(
                     return out
         return None
 
-    def finish(fixed: Dict[Group, int]) -> Optional[SolveOutcome]:
+    def finish(fixed: Dict[Group, int]) -> Optional[List[int]]:
         # Per group: (color graph, its side of the edge, the other end's group).
         incident: List[List[Tuple[Set[Tuple[int, int]], int, Group]]] = [
             [] for _ in group_clique
@@ -231,7 +221,7 @@ def _search_colors(
 
         def assign(
             unfixed: List[Group], fixed: Dict[Group, int]
-        ) -> Optional[SolveOutcome]:
+        ) -> Optional[List[int]]:
             if not unfixed:
                 return _extract(inst, cliques, family, ends, group_clique, fixed)
             g = unfixed[0]
@@ -261,7 +251,7 @@ def _extract(
     ends: Dict[TreeEdge, List[Group]],
     group_clique: List[int],
     fixed: Dict[Group, int],
-) -> Optional[SolveOutcome]:
+) -> Optional[List[int]]:
     """Bottom-up feasibility sets, then top-down vertex selection per tree."""
     g = inst.graph
     motif = inst.motif
@@ -324,4 +314,4 @@ def _extract(
     completion = pick_by_colors(inst, +needed, pool, set(connectors))
     if completion is None:
         return None
-    return try_witness(inst, connectors + completion)
+    return connectors + completion

@@ -18,8 +18,7 @@ from ..combinatorics import (
     max_matching_with_cover,
 )
 from ..estimators import min_vertex_cover
-from .common import dispatch_deletion_set, iter_guesses
-from .common import pick_by_colors, try_witness
+from .common import dispatch_deletion_set, iter_guesses, pick_by_colors
 
 
 def solve_vertex_cover(
@@ -29,27 +28,19 @@ def solve_vertex_cover(
     return dispatch_deletion_set(inst, _solve_connected, cover, min_vertex_cover)
 
 
-def _solve_connected(inst: Instance, cover: Set[int]) -> SolveOutcome:
+def _solve_connected(inst: Instance, cover: Set[int]) -> Optional[List[int]]:
     g = inst.graph
-    motif = inst.motif
     s_list = sorted(v for v in cover if v < g.n)
     s_set = set(s_list)
     independent = [v for v in range(g.n) if v not in s_set]
-
-    # Solution disjoint from the cover: it lies in the independent set, so
-    # it is a single vertex.
-    if motif.total == 1:
-        color = motif.colors()[0]
-        for v in independent:
-            if inst.coloring[v] == color:
-                return SolveOutcome.yes([v])
-
+    # A solution of two or more vertices spans an edge, so it meets the
+    # cover in a nonempty S'.
     supply = Counter(inst.coloring[v] for v in independent)
     for s_prime, remaining in iter_guesses(inst, s_list, supply):
-        outcome = _try_guess(inst, s_prime, remaining, independent)
-        if outcome is not None:
-            return outcome
-    return SolveOutcome.no()
+        found = _try_guess(inst, s_prime, remaining, independent)
+        if found is not None:
+            return found
+    return None
 
 
 def _try_guess(
@@ -57,10 +48,11 @@ def _try_guess(
     s_prime: Tuple[int, ...],
     remaining: Counter,
     independent: List[int],
-) -> Optional[SolveOutcome]:
+) -> Optional[List[int]]:
     g = inst.graph
     if not remaining:
-        return try_witness(inst, s_prime)
+        # S' would be the whole solution, which it is only if connected.
+        return list(s_prime) if len(connected_components(g, s_prime)) == 1 else None
 
     s_prime_set = set(s_prime)
     # Independent-side vertices with a neighbor in S' are the only ones that
@@ -78,7 +70,7 @@ def _try_guess(
         completion = pick_by_colors(inst, remaining, avail, set())
         if completion is None:
             return None
-        return try_witness(inst, list(s_prime) + completion)
+        return list(s_prime) + completion
 
     # Candidate connectors per component subset are defined by adjacency.
     nbr_comps: Dict[int, FrozenSet[int]] = {}
@@ -100,9 +92,9 @@ def _try_guess(
     max_l = min(len(comps), sum(remaining.values()))
     for l in range(1, max_l + 1):
         for blocks in iter_ordered_partitions(range(len(comps)), l, connectable):
-            outcome = _try_partition(inst, s_prime, blocks, avail, nbr_comps, remaining)
-            if outcome is not None:
-                return outcome
+            found = _try_partition(inst, s_prime, blocks, avail, nbr_comps, remaining)
+            if found is not None:
+                return found
     return None
 
 
@@ -113,7 +105,7 @@ def _try_partition(
     avail: List[int],
     nbr_comps: Dict[int, FrozenSet[int]],
     remaining: Counter,
-) -> Optional[SolveOutcome]:
+) -> Optional[List[int]]:
     l = len(blocks)
     earlier: Set[int] = set()
     candidates: List[List[int]] = []
@@ -159,11 +151,11 @@ def _realize(
     slot_colors: List[Set[int]],
     remaining: Counter,
     avail: List[int],
-) -> Optional[SolveOutcome]:
+) -> Optional[List[int]]:
     l = len(candidates)
     assignment: List[int] = []
 
-    def backtrack(i: int, used: Counter) -> Optional[SolveOutcome]:
+    def backtrack(i: int, used: Counter) -> Optional[List[int]]:
         if i == l:
             chosen = _match_vertices(inst, candidates, assignment)
             if chosen is None:
@@ -173,7 +165,7 @@ def _realize(
             completion = pick_by_colors(inst, +still, avail, set(chosen))
             if completion is None:
                 return None
-            return try_witness(inst, list(s_prime) + chosen + completion)
+            return list(s_prime) + chosen + completion
         for c in sorted(slot_colors[i]):
             if used[c] < remaining[c]:
                 used[c] += 1

@@ -17,7 +17,6 @@ from motifkit.core import (
     Graph,
     Instance,
     Motif,
-    SolveOutcome,
     connected_components,
     verify_solution,
 )
@@ -41,6 +40,7 @@ from motifkit.generators import (
     gen_x3c_paths,
 )
 from motifkit.solvers import (
+    co_cluster,
     dist_clique,
     edge_clique_cover,
     max_leaf,
@@ -51,7 +51,6 @@ from motifkit.solvers.common import (
     iter_connected,
     iter_guesses,
     pick_by_colors,
-    try_witness,
 )
 
 
@@ -119,6 +118,14 @@ class TestSmallInstances:
         for name, out in run_all(inst).items():
             assert out.is_yes, name
             assert 0 in out.witness and len(out.witness) == 3
+
+    def test_one_vertex_motif_gives_the_lowest_vertex(self):
+        # A star whose centre 0 is its vertex cover, every vertex of the
+        # motif's one colour: the dispatcher answers with vertex 0.
+        g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        inst = Instance(g, (5, 5, 5, 5), Motif({5: 1}))
+        for name, out in run_all(inst).items():
+            assert out.witness == (0,), name
 
     def test_brute_capacity_cap(self):
         g = Graph(26, [(i, i + 1) for i in range(25)])
@@ -229,13 +236,13 @@ class TestSuppliedStructures:
 
 BAD_WITNESS_SCRIPT = """
 import sys
-from motifkit.core import Graph, Instance, Motif, SolveOutcome
+from motifkit.core import Graph, Instance, Motif
 from motifkit.solvers.common import dispatch_components
 
 # Colours fit the motif, but 0 and 2 are not adjacent.
 inst = Instance(Graph(3, [(0, 1), (1, 2)]), (0, 0, 1), Motif({0: 1, 1: 1}))
 try:
-    dispatch_components(inst, lambda sub, ids: SolveOutcome.yes([0, 2]))
+    dispatch_components(inst, lambda sub, ids: [0, 2])
 except AssertionError:
     print("rejected", sys.flags.optimize)
 else:
@@ -255,6 +262,48 @@ def test_dispatch_rejects_bad_witness_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "rejected 1\n"
+
+
+def disconnected_pair(inst, *args):
+    """Two non-adjacent vertices of `inst`: a witness the check must refuse."""
+    g = inst.graph
+    return next([u, v] for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v))
+
+
+# Triangle 0-1-2 of colour 0 with pendants 3 at 0 and 4 at 1 of colour 1: no
+# clique, cover clique or path holds both colours, so each solver gets to
+# its inner kernel.  The path 0-1-2 is the co-cluster K1,2 and a solution
+# meets both its classes.
+PENDANT_TRIANGLE = Instance(
+    Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)]), (0, 0, 0, 1, 1), Motif({0: 1, 1: 1})
+)
+P3 = Instance(Graph(3, [(0, 1), (1, 2)]), (0, 1, 0), Motif({0: 1, 1: 1}))
+# (module, innermost kernel, solve, a YES instance on which it is called).
+KERNELS = {
+    "dist-clique": (dist_clique, "_try_guess", solve_dist_clique, PENDANT_TRIANGLE),
+    "vc": (vertex_cover, "_try_guess", solve_vertex_cover, PENDANT_TRIANGLE),
+    "cocluster": (co_cluster, "_try_pair", solve_co_cluster, P3),
+    "maxleaf": (max_leaf, "_try_trace", solve_max_leaf_xp, PENDANT_TRIANGLE),
+    "ecc": (
+        edge_clique_cover, "_try_family",
+        lambda inst: solve_edge_clique_cover(inst, inst.graph.edges()), PENDANT_TRIANGLE,
+    ),
+    "vcc": (
+        vertex_clique_cover, "_try_family",
+        lambda inst: solve_vertex_clique_cover(inst, greedy_vertex_clique_cover(inst.graph)),
+        PENDANT_TRIANGLE,
+    ),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(KERNELS))
+def test_kernel_witness_cannot_bypass_the_check(solver):
+    module, kernel, solve, inst = KERNELS[solver]
+    assert solve(inst).is_yes
+    with mock.patch.object(module, kernel, side_effect=disconnected_pair) as bad:
+        with pytest.raises(AssertionError, match="invalid witness"):
+            solve(inst)
+    assert bad.called
 
 
 def ref_iter_guesses(inst, candidates):
@@ -348,20 +397,21 @@ def ref_solve_cycle(inst):
         order.append(next(u for u in g.adjacency[cur] if u != prev))
     total = inst.motif.total
     if total > g.n:
-        return SolveOutcome.no()
+        return None
     if total == g.n:
-        return (
-            SolveOutcome.yes(order)
-            if inst.motif.matches(inst.coloring)
-            else SolveOutcome.no()
-        )
+        return order if inst.motif.matches(inst.coloring) else None
     doubled = order + order
     target = inst.motif.as_counter()
     for start in range(g.n):
         segment = doubled[start : start + total]
         if Counter(inst.coloring[v] for v in segment) == target:
-            return SolveOutcome.yes(segment)
-    return SolveOutcome.no()
+            return segment
+    return None
+
+
+def sorted_witness(found):
+    """A kernel's vertex list, sorted, or None."""
+    return None if found is None else sorted(found)
 
 
 class TestSolveCycle:
@@ -374,7 +424,9 @@ class TestSolveCycle:
         coloring = tuple(data.draw(st.integers(0, 2)) for _ in range(n))
         motif_colors = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=n + 2))
         inst = Instance(Graph(n, edges), coloring, Motif(dict(Counter(motif_colors))))
-        assert max_leaf._solve_cycle(inst) == ref_solve_cycle(inst)
+        assert sorted_witness(max_leaf._solve_cycle(inst)) == sorted_witness(
+            ref_solve_cycle(inst)
+        )
 
 
 def ref_try_trace(inst, t_set, _remaining, paths):
@@ -436,7 +488,7 @@ def ref_try_trace(inst, t_set, _remaining, paths):
     final = states.get((target, tuple([0] * n_comps)))
     if final is None:
         return None
-    return try_witness(inst, sorted(t_set) + final)
+    return sorted(t_set) + final
 
 
 @st.composite
@@ -519,9 +571,9 @@ class TestMaxLeafDP:
         for t, remaining in iter_guesses(inst, sorted(s), inst.motif.as_counter()):
             comp_counts.add(len(connected_components(inst.graph, t)))
             t_set = set(t)
-            assert max_leaf._try_trace(
-                inst, t_set, remaining, paths
-            ) == ref_try_trace(inst, t_set, remaining, paths), t
+            assert sorted_witness(
+                max_leaf._try_trace(inst, t_set, remaining, paths)
+            ) == sorted_witness(ref_try_trace(inst, t_set, remaining, paths)), t
         # The reference DP on every guess, none dropped by a supply bound.
         with no_supply_bounds(max_leaf), mock.patch.object(
             max_leaf, "_try_trace", ref_try_trace
@@ -637,14 +689,12 @@ class TestMaxLeafDP:
     @given(branching_instances())
     @settings(max_examples=200, deadline=None)
     def test_goal_state_gives_a_witness(self, inst):
-        # `_try_trace` calls `try_witness` exactly when the DP reaches its goal.
+        # `_try_trace` returns a witness exactly when the DP reaches its goal.
         s, paths = degree3_decomposition(inst.graph)
         for t, remaining in iter_guesses(inst, sorted(s), inst.motif.as_counter()):
-            with mock.patch.object(max_leaf, "try_witness", wraps=try_witness) as check:
-                outcome = max_leaf._try_trace(inst, set(t), remaining, paths)
-            if check.called:
-                assert outcome is not None, t
-                assert verify_solution(inst, outcome.witness), t
+            found = max_leaf._try_trace(inst, set(t), remaining, paths)
+            if found is not None:
+                assert verify_solution(inst, found), t
 
 
 def ref_dist_clique_try_guess(inst, s_prime, _remaining, clique, s_index, nbr_mask):
@@ -653,7 +703,7 @@ def ref_dist_clique_try_guess(inst, s_prime, _remaining, clique, s_index, nbr_ma
     guesses, it tries every guess with no clique supply check."""
     remaining = inst.motif.minus(inst.coloring[v] for v in s_prime)
     if not remaining:
-        return try_witness(inst, s_prime)
+        return list(s_prime) if verify_solution(inst, s_prime) else None
     comps = connected_components(inst.graph, s_prime)
     comp_masks = [sum(1 << s_index[v] for v in comp) for comp in comps]
     seen = {}
@@ -679,7 +729,7 @@ def ref_dist_clique_try_guess(inst, s_prime, _remaining, clique, s_index, nbr_ma
     completion = pick_by_colors(inst, +still_needed, clique, set(chosen))
     if completion is None:
         return None
-    return try_witness(inst, list(s_prime) + chosen + completion)
+    return list(s_prime) + chosen + completion
 
 
 @st.composite
@@ -711,8 +761,8 @@ class TestDistCliqueSupply:
         ):
             expected = dist_clique._solve_connected(inst, s)
         got = dist_clique._solve_connected(inst, s)
-        assert got == expected
-        assert got.is_yes == solve_brute(inst).is_yes
+        assert sorted_witness(got) == sorted_witness(expected)
+        assert (got is not None) == solve_brute(inst).is_yes
 
     def test_missing_clique_color_runs_no_cover(self):
         # Clique 0-1-2 of colour 0; vertices 3 and 4 of colour 1 hang off it.

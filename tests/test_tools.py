@@ -1,5 +1,9 @@
 import importlib.util
+import json
+import os
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,3 +49,36 @@ class TestBenchPairs:
         assert decided["change_better_pairs"] == "3/4"
         assert summary["verdict_p50_s"]["change_better_pairs"] == "3/4"
         assert summary["peak_rss_mb"]["change_better_pairs"] == "0/4"
+
+    def test_each_side_gets_its_own_fresh_bytecode_prefix(self, tmp_path):
+        trees = {}
+        for side in bench_pairs.SIDES:
+            (tmp_path / side / "perfbench").mkdir(parents=True)
+            (tmp_path / side / "perfbench" / "run.py").write_text("")
+            trees[str((tmp_path / side).resolve())] = side
+        prefixes = {side: set() for side in bench_pairs.SIDES}
+        line = json.dumps(fake_run(0, "parent", True, 100, 0.01)["result"])
+
+        def fake_subprocess_run(argv, cwd, env, **kwargs):
+            prefix = env["PYTHONPYCACHEPREFIX"]
+            side = trees[str(cwd)]
+            if not prefixes[side]:
+                assert os.listdir(prefix) == []
+            prefixes[side].add(prefix)
+            return SimpleNamespace(stdout=line + "\n")
+
+        out = tmp_path / "BENCH.json"
+        with mock.patch.object(bench_pairs.subprocess, "run", fake_subprocess_run):
+            code = bench_pairs.main(
+                [str(tmp_path / "parent"), str(tmp_path / "change"),
+                 "--out", str(out), "--seeds", "1-2"]
+            )
+        assert code == 0
+        # One prefix per side for the whole session, a different one each,
+        # outside both trees and removed at the end.
+        (parent,), (change,) = prefixes["parent"], prefixes["change"]
+        assert parent != change
+        for prefix in (parent, change):
+            assert not any(prefix.startswith(tree) for tree in trees)
+            assert not os.path.exists(prefix)
+        assert "PYTHONPYCACHEPREFIX" in json.loads(out.read_text())["order"]

@@ -12,7 +12,11 @@ runs
 
 with S the benchmark's `run_seconds`, once in each tree, one run at a time.
 The two sides take turns to run first: the parent runs first on the first,
-third, ... seed.  The file records every run (seed, side, whether it ran
+third, ... seed.  Each side writes and reads its bytecode under its own
+`PYTHONPYCACHEPREFIX`, an empty directory at the start that the script
+makes and removes, so a tree's own stale `__pycache__` cannot make one side
+import faster than the other; `perfbench/run.py` passes the setting on to
+its children.  The file records every run (seed, side, whether it ran
 first, run.py's JSON) and,
 per workload, a summary: whether every verdict was correct, the attempted
 and failed counts per side, and for each end-to-end metric of
@@ -33,6 +37,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,8 +56,8 @@ def parse_seeds(text: str) -> list:
     return [int(part) for part in text.split(",")]
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """run.py's last output line, parsed."""
+def run_once(tree: Path, workload: str, seed: int, pycache: Path) -> dict:
+    """run.py's last output line, parsed; bytecode goes under `pycache`."""
     done = subprocess.run(
         [
             sys.executable,
@@ -65,6 +70,7 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
         cwd=tree,
         stdout=subprocess.PIPE,
         text=True,
+        env=dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache)),
     )
     lines = done.stdout.strip().splitlines()
     if not lines:
@@ -148,7 +154,8 @@ def main(argv=None) -> int:
         "machine": machine(),
         "order": (
             "pairs alternate which side runs first (ran_first); the parent "
-            "runs first on the first, third, ... seed"
+            "runs first on the first, third, ... seed; each side compiles into "
+            "its own PYTHONPYCACHEPREFIX, empty at the start of the session"
         ),
     }
     if args.claim:
@@ -158,22 +165,29 @@ def main(argv=None) -> int:
     report["summary"] = {}
     report["runs"] = {w: [] for w in WORKLOADS}
 
-    for workload in WORKLOADS:
-        for i, seed in enumerate(args.seeds):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            for first, side in zip((True, False), order):
-                try:
-                    result = run_once(trees[side], workload, seed)
-                except (RuntimeError, json.JSONDecodeError) as err:
-                    print(f"{side} {workload} seed {seed}: {err}", file=sys.stderr)
-                    return 1
-                report["runs"][workload].append(
-                    {"seed": seed, "side": side, "ran_first": first, "result": result}
-                )
-                value = result["metrics"]["decided_per_s"]["value"]
-                print(f"{workload} seed {seed} {side}: decided_per_s {value:.2f}", flush=True)
-            report["summary"][workload] = summarize(report["runs"][workload])
-            args.out.write_text(json.dumps(report, indent=1) + "\n")
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        pycache = {side: Path(tmp, side) for side in SIDES}
+        for path in pycache.values():
+            path.mkdir()
+        for workload in WORKLOADS:
+            for i, seed in enumerate(args.seeds):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                for first, side in zip((True, False), order):
+                    try:
+                        result = run_once(trees[side], workload, seed, pycache[side])
+                    except (RuntimeError, json.JSONDecodeError) as err:
+                        print(f"{side} {workload} seed {seed}: {err}", file=sys.stderr)
+                        return 1
+                    report["runs"][workload].append(
+                        {"seed": seed, "side": side, "ran_first": first, "result": result}
+                    )
+                    value = result["metrics"]["decided_per_s"]["value"]
+                    print(
+                        f"{workload} seed {seed} {side}: decided_per_s {value:.2f}",
+                        flush=True,
+                    )
+                report["summary"][workload] = summarize(report["runs"][workload])
+                args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
 

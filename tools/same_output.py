@@ -13,10 +13,16 @@ side, one subprocess per cell with a time limit of S seconds (default 5):
     dense-clique  solve --algo dist-clique
     sparse-paths  solve --algo maxleaf
     auto-mixed    solve with auto, vc, cocluster, dist-clique and maxleaf;
+                  solve --algo vcc and --algo ecc with a cover file;
                   params, and params --limit 7
 
 `params` prints the deletion-set estimators' sizes, so its cells compare the
-estimators themselves, uncapped and capped.
+estimators themselves, uncapped and capped.  The cover files are written
+once per file of each corpus, with PARENT_SRC's `motifkit`, as `motifkit bench` builds its
+covers: `greedy_vertex_clique_cover` for vcc, and the edges (one vertex
+per clique on an edgeless graph) for ecc.  Many vcc and ecc cells run to
+the limit: at 3 s, 20 of 42 ecc cells and 11 of 42 vcc cells did not
+finish, so these cells add about 5 minutes at the default limit.
 
 A cell is identical when both sides finish with the same stdout, stderr and
 exit code.  The script prints how many cells are identical, how many differ
@@ -52,6 +58,8 @@ CELLS = {
         ["solve", "--algo", "cocluster"],
         ["solve", "--algo", "dist-clique"],
         ["solve", "--algo", "maxleaf"],
+        ["solve", "--algo", "vcc", "--vertex-clique-cover", "{vcc}"],
+        ["solve", "--algo", "ecc", "--edge-clique-cover", "{ecc}"],
         ["params"],
         ["params", "--limit", "7"],
     ],
@@ -77,6 +85,34 @@ def build_corpora(src: Path, seed: int, out: Path) -> dict:
         )
         hashes[workload] = json.loads(done.stdout)["corpus_sha256"]
     return hashes
+
+
+COVERS = ("vcc", "ecc")
+# Writes, for each instance file, NAME.vcc and NAME.ecc into a directory.
+COVER_SCRIPT = """
+import sys
+from pathlib import Path
+from motifkit.core import parse_instance
+from motifkit.estimators import greedy_vertex_clique_cover
+
+out = Path(sys.argv[1])
+for name in sys.argv[2:]:
+    g = parse_instance(Path(name).read_text()).graph
+    edges = [list(e) for e in g.edges()] or [[v] for v in range(g.n)]
+    for kind, cover in (("vcc", greedy_vertex_clique_cover(g)), ("ecc", edges)):
+        text = "".join(" ".join(map(str, clique)) + "\\n" for clique in cover)
+        (out / f"{Path(name).stem}.{kind}").write_text(text)
+"""
+
+
+def write_covers(src: Path, paths: list, out: Path) -> None:
+    """Each instance file's cover files, built with `src`."""
+    out.mkdir(parents=True)
+    subprocess.run(
+        [sys.executable, "-c", COVER_SCRIPT, str(out), *map(str, paths)],
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
 
 
 def run_cell(src: Path, path: Path, argv: list, limit: float, cwd: str):
@@ -132,11 +168,15 @@ def main(argv=None) -> int:
             verdict = "equal" if parent == change else "DIFFER"
             print(f"corpus {workload}: {verdict} parent {parent} change {change}")
         for workload, algo_args in CELLS.items():
-            for path in sorted((corpora / workload).glob("*.gm")):
+            paths = sorted((corpora / workload).glob("*.gm"))
+            covers = Path(tmp) / "covers" / workload
+            write_covers(sides[0], paths, covers)
+            for path in paths:
+                cover = {kind: str(covers / f"{path.stem}.{kind}") for kind in COVERS}
                 for cell_argv in algo_args:
+                    filled = [arg.format(**cover) for arg in cell_argv]
                     (parent, parent_s), (change, change_s) = [
-                        run_cell(src, path, cell_argv, args.limit, tmp)
-                        for src in sides
+                        run_cell(src, path, filled, args.limit, tmp) for src in sides
                     ]
                     cell = f"{workload}/{path.name} {' '.join(cell_argv)}"
                     took = f"parent {_took(parent_s)}, change {_took(change_s)}"
