@@ -31,6 +31,7 @@ from .core import (
 )
 from .estimators import (
     degree3_decomposition,
+    degree3_vertices,
     dist_to_clique_set,
     dist_to_co_cluster_set,
     greedy_vertex_clique_cover,
@@ -62,6 +63,8 @@ from .solvers import (
     solve_vertex_cover,
     solve_vertex_clique_cover,
 )
+from .solvers.co_cluster import kernel_calls
+from .solvers.common import count_guesses, guess_space, pruned_components
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -120,42 +123,62 @@ SOLVERS: Dict[str, Callable[[Instance, Structure], SolveOutcome]] = {
     "maxleaf": lambda inst, structure: solve_max_leaf_xp(inst),
 }
 
-# The deletion-set parameters, as (solver, parameter, auto's probe cap,
-# estimate(graph, limit)); the order breaks auto's ties.  Solvers and
-# estimators are looked up by name at call time, so that wrappers bound to
-# those names (perfbench's traced run) see every call.
+# The deletion-set parameters, as (solver, parameter, auto's probe cap, its
+# search's obstacle size, estimate(graph, limit)), in auto's probe order; auto
+# breaks ties by `TIE_ORDER`, the order of the per-guess kernel costs.
+# Solvers and estimators are looked up by name at call time, so that wrappers
+# bound to those names (perfbench's traced run) see every call.
 DELETION_SETS = (
-    ("dist-clique", "distance-to-clique", 10,
-     lambda g, limit: dist_to_clique_set(g, limit)),
-    ("vc", "vertex-cover", 10,
-     lambda g, limit: min_vertex_cover(g, limit)),
-    ("cocluster", "distance-to-co-cluster", 7,
-     lambda g, limit: dist_to_co_cluster_set(g, limit)),
+    ("dist-clique", "distance-to-clique", 10, 2, lambda g, k: dist_to_clique_set(g, k)),
+    ("vc", "vertex-cover", 10, 2, lambda g, k: min_vertex_cover(g, k)),
+    ("cocluster", "distance-to-co-cluster", 7, 3,
+     lambda g, k: dist_to_co_cluster_set(g, k)),
 )
+TIE_ORDER = ("dist-clique", "maxleaf", "vc", "cocluster", *COVERS)
 
 
 def _auto_pick(
     inst: Instance, covers: Dict[str, Cover]
 ) -> Tuple[str, str, int, Structure]:
-    """Choose the algorithm with the cheapest estimated parameter.
-
-    Returns (algorithm, parameter name, parameter value, structure), where
-    the structure is the deletion set or cover the value counts, handed on
-    to the solver (None for maxleaf).  Ties go to the earlier entry.  The
-    brute solver is never a candidate.
-    """
+    """(algorithm, parameter name, value, the deletion set or cover the value
+    counts, handed on to the solver) with the fewest predicted guesses:
+    `count_guesses` over the components, times `kernel_calls` for cocluster,
+    or 2^c - 1 families for a cover of c cliques.  The probes run after
+    maxleaf's and the covers' predictions, in `DELETION_SETS` order while the
+    best is over 1, each capped at the larger of its own cap and the largest
+    k with b^k at most the best, b its obstacle size (a probe capped at k
+    explores about b^k branch nodes).  Ties go by `TIE_ORDER`."""
     g = inst.graph
-    big = g.n + 1  # sentinel for "probe limit exceeded"
-    candidates: List[Tuple[int, str, str, Structure]] = []
-    for algo, param, cap, estimate in DELETION_SETS:
-        found = estimate(g, cap)
-        candidates.append((big if found is None else len(found), algo, param, found))
-    degree3 = sum(1 for v in range(g.n) if g.degree(v) >= 3)
-    candidates.append((degree3, "maxleaf", "degree3-vertices", None))
-    for algo, cover in covers.items():
-        candidates.append((len(cover), algo, COVERS[algo], cover))
-    value, algo, param, structure = min(candidates, key=lambda c: c[0])
-    return algo, param, value, structure
+    parts = list(pruned_components(inst))
+
+    def predict(algo: str, structure: Structure) -> int:
+        total = 0
+        for sub, ids in parts:
+            s = (degree3_vertices(sub.graph) if algo == "maxleaf"
+                 else {i for i, v in enumerate(ids) if v in structure})
+            guesses = count_guesses(sub, *guess_space(sub, s))
+            if algo == "cocluster" and guesses:
+                guesses *= kernel_calls(sub, s)
+            total += guesses
+        return total
+
+    # (prediction, algorithm, parameter, value, structure)
+    picks = [(2 ** len(cover) - 1, algo, COVERS[algo], len(cover), cover)
+             for algo, cover in covers.items()]
+    picks.append((predict("maxleaf", None), "maxleaf", "degree3-vertices",
+                  len(degree3_vertices(g)), None))
+    for algo, param, cap, obstacle, estimate in DELETION_SETS:
+        best = min(pick[0] for pick in picks)
+        if best <= 1:
+            break
+        limit = cap
+        while obstacle ** (limit + 1) <= best:
+            limit += 1
+        found = estimate(g, limit)
+        if found is not None:
+            picks.append((predict(algo, found), algo, param, len(found), found))
+    best = min(picks, key=lambda pick: (pick[0], TIE_ORDER.index(pick[1])))
+    return best[1:]
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -347,10 +370,10 @@ def cmd_params(args: argparse.Namespace) -> int:
     covers = _read_covers(args)
     g = inst.graph
     # The vertex cover is listed first, ahead of the other deletion sets.
-    for _, param, _, estimate in sorted(DELETION_SETS, key=lambda p: p[0] != "vc"):
+    for _, param, _, _, estimate in sorted(DELETION_SETS, key=lambda p: p[0] != "vc"):
         found = estimate(g, args.limit)
         print(f"{param} {f'> {args.limit}' if found is None else len(found)}")
-    print(f"degree3-vertices {sum(1 for v in range(g.n) if g.degree(v) >= 3)}")
+    print(f"degree3-vertices {len(degree3_vertices(g))}")
     try:
         paths = str(len(degree3_decomposition(g)[1]))
     except InputError:

@@ -267,6 +267,11 @@ class PathComponent:
     last_attach: Tuple[int, ...]  # S-neighbors of the last vertex
 
 
+def degree3_vertices(g: Graph) -> Set[int]:
+    """The vertices of degree at least 3."""
+    return {v for v, row in enumerate(g.adjacency) if len(row) >= 3}
+
+
 def degree3_decomposition(g: Graph) -> Tuple[Set[int], List[PathComponent]]:
     """Vertices of degree >= 3 plus the maximal paths of the rest.
 
@@ -277,7 +282,7 @@ def degree3_decomposition(g: Graph) -> Tuple[Set[int], List[PathComponent]]:
         raise InputError("empty graph")
     if len(connected_components(g, range(g.n))) != 1:
         raise InputError("graph must be connected")
-    s = {v for v in range(g.n) if g.degree(v) >= 3}
+    s = degree3_vertices(g)
     if not s and all(g.degree(v) == 2 for v in range(g.n)):
         raise InputError("cycle graph: use the direct cycle solver")
 

@@ -7,6 +7,7 @@ and adding all intra-class edges turns the rest of the graph into a clique.
 
 from __future__ import annotations
 
+from itertools import combinations, product
 from typing import List, Optional, Set
 
 from ..core import Graph, Instance, Motif, SolveOutcome, connected_components, restrict
@@ -25,18 +26,26 @@ def solve_co_cluster(
     )
 
 
+def _classes(g: Graph, x: Set[int]) -> List[List[int]]:
+    """The independent classes of the co-cluster g minus x, in g's ids."""
+    rest = [v for v in range(g.n) if v not in x]
+    return [[rest[i] for i in cls] for cls in co_cluster_classes(g.induced(rest)[0])]
+
+
+def kernel_calls(inst: Instance, x: Set[int]) -> int:
+    """`_solve_connected`'s vc or dist-clique solves: per class and per pair
+    of vertices of distinct classes (one in all with no class)."""
+    sizes = [len(cls) for cls in _classes(inst.graph, x)]
+    return len(sizes) + (sum(sizes) ** 2 - sum(k * k for k in sizes)) // 2 or 1
+
+
 def _solve_connected(inst: Instance, x: Set[int]) -> Optional[List[int]]:
     g = inst.graph
-    rest = [v for v in range(g.n) if v not in x]
-    classes = [
-        [rest[i] for i in cls] for cls in co_cluster_classes(g.induced(rest)[0])
-    ]
+    classes = _classes(g, x)
 
     # Case A: the solution meets at most one class, so it lives in
     # G[X + class] where X is a vertex cover.
-    if not classes:
-        return _solve_on_subset(inst, sorted(x), x)
-    for cls in classes:
+    for cls in classes or [[]]:
         found = _solve_on_subset(inst, sorted(x | set(cls)), x)
         if found is not None:
             return found
@@ -52,13 +61,11 @@ def _solve_connected(inst: Instance, x: Set[int]) -> Optional[List[int]]:
         if not g.has_edge(u, v)
     ]
     completed = Graph(g.n, g.edges() + extra)
-    for i, cls_s in enumerate(classes):
-        for cls_t in classes[i + 1 :]:
-            for s in cls_s:
-                for t in cls_t:
-                    found = _try_pair(inst, completed, x, s, t)
-                    if found is not None:
-                        return found
+    for cls_s, cls_t in combinations(classes, 2):
+        for s, t in product(cls_s, cls_t):
+            found = _try_pair(inst, completed, x, s, t)
+            if found is not None:
+                return found
     return None
 
 

@@ -4,10 +4,12 @@ enumeration, greedy completion."""
 from __future__ import annotations
 
 from collections import Counter
+from math import comb
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core import (
     Graph,
+    InputError,
     Instance,
     SolveOutcome,
     connected_components,
@@ -17,40 +19,36 @@ from ..core import (
 )
 
 
+def pruned_components(inst: Instance) -> Iterator[Tuple[Instance, List[int]]]:
+    """`restrict` on each component (by lowest vertex) of at least |M| vertices
+    left once off-color vertices are pruned: a connected solution lies in one."""
+    pruned, pruned_ids = prune_wrong_colors(inst)
+    for comp in connected_components(pruned.graph, range(pruned.graph.n)):
+        if len(comp) >= inst.motif.total:
+            yield restrict(inst, [pruned_ids[v] for v in comp])
+
+
 def dispatch_components(
     inst: Instance,
     solve_connected: Callable[[Instance, List[int]], Optional[Sequence[int]]],
 ) -> SolveOutcome:
-    """Prune off-color vertices, then try each connected component.
-
-    A solution is connected, so it lives inside a single component.  Each
-    component is restricted to a sub-instance with the same motif and passed
-    to `solve_connected` together with its `ids` (original vertex ids), so
-    the solver can restrict any structure it was given; it returns the
-    witness's vertices, in any order, or None.  A motif of one vertex is
-    answered here, by the lowest vertex pruning keeps.  The witness is
-    lifted back to original ids and verified: this is the one check.
+    """Pass each of `pruned_components` to `solve_connected` with its `ids`
+    (original vertex ids), so the solver can restrict any structure it was
+    given; it returns the witness's vertices, in any order, or None.  A
+    motif of one vertex is answered here, by the lowest vertex pruning
+    keeps.  The witness is lifted back to original ids and verified: this
+    is the one check.
     """
-    pruned, pruned_ids = prune_wrong_colors(inst)
-    witness: Optional[List[int]] = None
-    if inst.motif.total == 1:
-        # Pruning keeps only vertices of the motif's one color.
-        witness = pruned_ids[:1] or None
-    else:
-        for comp in connected_components(pruned.graph, range(pruned.graph.n)):
-            if len(comp) < inst.motif.total:
-                continue
-            sub, ids = restrict(inst, [pruned_ids[v] for v in comp])
-            found = solve_connected(sub, ids)
-            if found is not None:
-                witness = [ids[v] for v in found]
-                break
-    if witness is None:
-        return SolveOutcome.no()
-    # An explicit check, not an assert, so it also runs under -O.
-    if not verify_solution(inst, witness):
-        raise AssertionError(f"solver returned an invalid witness {witness}")
-    return SolveOutcome.yes(witness)
+    for sub, ids in pruned_components(inst):
+        # Pruning keeps only vertices of a one-vertex motif's color.
+        found = [0] if inst.motif.total == 1 else solve_connected(sub, ids)
+        if found is not None:
+            witness = [ids[v] for v in found]
+            # An explicit check, not an assert, so it also runs under -O.
+            if not verify_solution(inst, witness):
+                raise AssertionError(f"solver returned an invalid witness {witness}")
+            return SolveOutcome.yes(witness)
+    return SolveOutcome.no()
 
 
 def dispatch_deletion_set(
@@ -58,6 +56,7 @@ def dispatch_deletion_set(
     solve_connected: Callable[[Instance, Set[int]], Optional[Sequence[int]]],
     given: Optional[Set[int]],
     estimate: Callable[[Graph], Set[int]],
+    rest: Optional[Tuple[str, Callable[[int], int]]] = None,
 ) -> SolveOutcome:
     """`dispatch_components` for a solver that works from a deletion set.
 
@@ -65,7 +64,18 @@ def dispatch_deletion_set(
     graph) on it, or, with none given, the set `estimate` finds for it.  The
     trace is a deletion set of the component: an induced subgraph of a
     clique, an edgeless graph or a co-cluster is one again.
+
+    With `rest`, (name, degree), a given set is checked once first: each of
+    the r vertices outside it has degree(r) neighbours outside it, by row
+    lengths and the set's own rows.
     """
+    if given is not None and rest is not None:
+        g, (name, degree) = inst.graph, rest
+        inside = Counter(w for x in given if 0 <= x < g.n for w in g.adjacency[x])
+        outside = [v for v in range(g.n) if v not in given]
+        want = degree(len(outside))
+        if any(len(g.adjacency[v]) - inside[v] != want for v in outside):
+            raise InputError(f"supplied set is not a {name}")
 
     def run(sub: Instance, ids: List[int]) -> Optional[Sequence[int]]:
         if given is None:
@@ -96,8 +106,9 @@ def iter_guesses(
 
     Each comes with a fresh `Counter` of the colors it leaves over (positive
     counts only).  Smallest first, each size in `combinations` order.  A
-    prefix is never extended once it overflows the motif or must still take
-    more vertices than it has slots left, so no rejected subset is built.
+    prefix is never extended once it overflows the motif, must still take
+    more vertices than it has slots left, or owes a color more vertices than
+    the candidates ahead have, so no rejected subset is built.
 
     With `links` (per candidate, a bitmask of the candidate indices linked
     to it), a prefix is cut once one of its vertices cannot be reached from
@@ -109,6 +120,10 @@ def iter_guesses(
     # Vertices a guess must still take because `supply` falls short.
     short = sum(max(0, m - supply[c]) for c, m in left.items())
     n = len(candidates)
+    # ahead[i]: the candidates from i on that have candidate i's color.
+    ahead = [colors[i:].count(c) for i, c in enumerate(colors)]
+    if any(m - supply[c] > colors.count(c) for c, m in left.items()):
+        return
     prefix: List[int] = []
     cut = links is not None
     taken = 0  # bitmask of the prefix's candidate indices, kept only with `links`
@@ -151,9 +166,31 @@ def iter_guesses(
                 prefix.pop()
                 short += owed
                 left[c] = m
+                # Passing candidate i leaves one fewer of its color ahead.
+                if m - supply[c] >= ahead[i]:
+                    return
 
     for size in range(1, min(n, inst.motif.total) + 1):
         yield from extend(0, size)
+
+
+def guess_space(inst: Instance, s: Set[int]) -> Tuple[List[int], Counter]:
+    """The candidates, `s` ascending, and the supply, the colors outside `s`,
+    of the maxleaf, dist-clique and vc guess loops, which `auto` counts."""
+    return sorted(s), Counter(c for v, c in enumerate(inst.coloring) if v not in s)
+
+
+def count_guesses(inst: Instance, candidates: Sequence[int], supply: Counter) -> int:
+    """How many guesses `iter_guesses` yields without links, unenumerated: a
+    guess takes j of the n_c candidates of each motif color c, for j from
+    m_c - supply[c] (at least 0) to m_c, and is not empty."""
+    have = Counter(inst.coloring[v] for v in candidates)
+    total, empty = 1, True
+    for c, m in inst.motif.multiplicities.items():
+        low = max(0, m - supply[c])
+        total *= sum(comb(have[c], j) for j in range(low, min(m, have[c]) + 1))
+        empty = empty and low == 0
+    return total - 1 if empty else total
 
 
 def iter_connected(

@@ -13,28 +13,28 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..core import Instance, SolveOutcome, connected_components
 from ..csct import CsctInstance, solve_csct
 from ..estimators import dist_to_clique_set
-from .common import dispatch_deletion_set, iter_guesses, pick_by_colors
+from .common import dispatch_deletion_set, guess_space, iter_guesses, pick_by_colors
 
 
 def solve_dist_clique(
     inst: Instance, deletion_set: Optional[Set[int]] = None
 ) -> SolveOutcome:
     """Exact answer; deletion_set (V minus a clique) is computed if absent."""
-    return dispatch_deletion_set(
-        inst, _solve_connected, deletion_set, dist_to_clique_set
-    )
+    return dispatch_deletion_set(inst, _solve_connected, deletion_set, dist_to_clique_set,
+                                 ("distance-to-clique set", lambda r: r - 1))
 
 
 def _solve_connected(inst: Instance, s: Set[int]) -> Optional[List[int]]:
     g = inst.graph
     motif = inst.motif
     clique = [v for v in range(g.n) if v not in s]
-    s_list = sorted(v for v in s if v < g.n)
 
     # Solution entirely inside the clique: any color-feasible pick works.
     picks = pick_by_colors(inst, motif.as_counter(), clique, set())
     if picks is not None:
         return picks
+    # The clique part has exactly the colors a guess leaves over.
+    s_list, supply = guess_space(inst, s)
 
     # Per-vertex adjacency into S as a bitmask, for fast set construction,
     # filled from S's side: only S's rows are walked.
@@ -43,8 +43,6 @@ def _solve_connected(inst: Instance, s: Set[int]) -> Optional[List[int]]:
     for u, i in s_index.items():
         for v in g.adjacency[u]:
             nbr_mask[v] |= 1 << i
-    # The clique part has exactly the colors a guess leaves over.
-    supply = Counter(inst.coloring[v] for v in clique)
 
     for s_prime, remaining in iter_guesses(inst, s_list, supply):
         found = _try_guess(inst, s_prime, remaining, clique, s_index, nbr_mask)

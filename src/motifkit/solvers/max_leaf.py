@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core import Instance, SolveOutcome, connected_components
 from ..estimators import PathComponent, degree3_decomposition
-from .common import dispatch_components, iter_guesses
+from .common import dispatch_components, guess_space, iter_guesses
 from .paths import solve_on_path
 
 
@@ -41,9 +41,8 @@ def _solve_connected(inst: Instance) -> Optional[List[int]]:
             return path.vertices[i : j + 1]
 
     # The paths, which hold every vertex outside S, supply a leftover.
-    supply = Counter(inst.coloring[v] for v in range(g.n) if v not in s)
+    s_order, supply = guess_space(inst, s)
     fits = _attached_fit(inst, s, paths)
-    s_order = sorted(s)
     links = _link_masks(inst, s_order, paths)
     for t, remaining in iter_guesses(inst, s_order, supply, links):
         if fits(t, remaining):

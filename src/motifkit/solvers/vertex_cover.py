@@ -18,24 +18,23 @@ from ..combinatorics import (
     max_matching_with_cover,
 )
 from ..estimators import min_vertex_cover
-from .common import dispatch_deletion_set, iter_guesses, pick_by_colors
+from .common import dispatch_deletion_set, guess_space, iter_guesses, pick_by_colors
 
 
 def solve_vertex_cover(
     inst: Instance, cover: Optional[Set[int]] = None
 ) -> SolveOutcome:
     """Exact answer; a vertex cover is computed when not supplied."""
-    return dispatch_deletion_set(inst, _solve_connected, cover, min_vertex_cover)
+    return dispatch_deletion_set(inst, _solve_connected, cover, min_vertex_cover,
+                                 ("vertex cover", lambda r: 0))
 
 
 def _solve_connected(inst: Instance, cover: Set[int]) -> Optional[List[int]]:
     g = inst.graph
-    s_list = sorted(v for v in cover if v < g.n)
-    s_set = set(s_list)
-    independent = [v for v in range(g.n) if v not in s_set]
+    independent = [v for v in range(g.n) if v not in cover]
     # A solution of two or more vertices spans an edge, so it meets the
     # cover in a nonempty S'.
-    supply = Counter(inst.coloring[v] for v in independent)
+    s_list, supply = guess_space(inst, cover)
     for s_prime, remaining in iter_guesses(inst, s_list, supply):
         found = _try_guess(inst, s_prime, remaining, independent)
         if found is not None:

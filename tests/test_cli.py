@@ -1,4 +1,10 @@
+import random
+from collections import Counter
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motifkit import cli, estimators
 from motifkit.cli import (
@@ -12,9 +18,17 @@ from motifkit.cli import (
     parse_set_system,
     parse_x3c_sources,
 )
-from motifkit.core import InputError, format_instance, verify_solution
-from motifkit.generators import SetSystem, gen_hitting_set_split
-from motifkit.solvers import dist_clique
+from motifkit.core import (
+    Graph,
+    InputError,
+    Instance,
+    Motif,
+    format_instance,
+    verify_solution,
+)
+from motifkit.estimators import greedy_vertex_clique_cover
+from motifkit.generators import SetSystem, gen_hitting_set_split, gen_set_cover_split
+from motifkit.solvers import dist_clique, solve_brute
 
 YES_TEXT = "p gm 3 2\ne 0 1\ne 1 2\nc 0 0\nc 1 1\nc 2 0\nm 0 1\nm 1 1\n"
 NO_TEXT = "p gm 2 0\nc 0 0\nc 1 1\nm 0 1\nm 1 1\n"
@@ -89,7 +103,8 @@ class TestSolve:
         monkeypatch.setattr(cli, "dist_to_clique_set", counted)
         monkeypatch.setattr(dist_clique, "dist_to_clique_set", counted)
         assert main(["solve", str(tmp_path / "clique-hs.gm")]) == EXIT_YES
-        assert calls == [10]
+        # maxleaf predicts 10,626 guesses here, which raises the cap to 13.
+        assert calls == [13]
         witness = [int(v) for v in capsys.readouterr().out.splitlines()[1].split()]
         assert verify_solution(inst, witness)
 
@@ -121,6 +136,72 @@ class TestSolve:
         p = tmp_path / "big.gm"
         p.write_text("\n".join(lines) + "\n")
         assert main(["solve", str(p), "--algo", "brute"]) == EXIT_CAPACITY
+
+
+@st.composite
+def small_instances(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    coloring = tuple(draw(st.integers(0, 2)) for _ in range(n))
+    motif = Counter(draw(st.lists(st.integers(0, 2), min_size=1, max_size=5)))
+    return Instance(Graph(n, edges), coloring, Motif(dict(motif)))
+
+
+class TestAutoPick:
+    def test_clique_hs_at_distance_eleven_goes_to_dist_clique(self):
+        # Shaped like the dense-clique corpus's 250-element clique-hs files:
+        # 11 set vertices, one over the probe's own cap of 10.  Picking by
+        # raw parameter chose maxleaf (261 vertices of degree 3), which does
+        # not finish.
+        sets = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11), (0, 3, 6), (1, 4, 9),
+                (2, 7, 10), (5, 8, 11), (0, 4, 8), (1, 5, 10), (2, 6, 11)]
+        inst = gen_hitting_set_split(SetSystem(250, tuple(sets), 4)).instance
+        algo, param, value, structure = cli._auto_pick(inst, {})
+        assert (algo, param, value) == ("dist-clique", "distance-to-clique", 11)
+        assert structure == set(range(250, 261))
+
+    def test_clique_200_plus_12_goes_to_dist_clique(self):
+        # The scaling smoke test's graph: 12 extra vertices, each on three
+        # vertices of a 200-clique.
+        rng = random.Random(1008)
+        edges = list(combinations(range(200), 2))
+        edges += [(u, v) for v in range(200, 212) for u in rng.sample(range(200), 3)]
+        coloring = (0,) * 200 + tuple(1 + i % 2 for i in range(12))
+        inst = Instance(Graph(212, edges), coloring, Motif({0: 4, 1: 2, 2: 2}))
+        algo, _, value, structure = cli._auto_pick(inst, {})
+        assert (algo, value) == ("dist-clique", 12)
+        assert cli.SOLVERS[algo](inst, structure).is_yes
+
+    def test_set_cover_goes_to_dist_clique_below_its_co_cluster_distance(self):
+        # Distance to co-cluster 5 is below distance to clique 6, but the
+        # dist-clique solver walks fewer guesses (and each costs less).
+        source = SetSystem(
+            6, ((4, 5), (2, 4), (0, 4, 5), (0, 2, 3, 4), (1, 3), (2, 3, 4, 5)), 2
+        )
+        inst = gen_set_cover_split(source).instance
+        assert len(estimators.dist_to_co_cluster_set(inst.graph)) == 5
+        algo, param, value, structure = cli._auto_pick(inst, {})
+        assert (algo, value) == ("dist-clique", 6)
+        assert cli.SOLVERS[algo](inst, structure).is_yes == source.has_set_cover()
+
+    def test_no_probe_once_maxleaf_predicts_at_most_one_guess(self, monkeypatch):
+        # A path has no vertex of degree 3, so maxleaf guesses nothing.
+        def refused(g, limit=None):
+            raise AssertionError("probe ran")
+
+        for name in ("dist_to_clique_set", "min_vertex_cover", "dist_to_co_cluster_set"):
+            monkeypatch.setattr(cli, name, refused)
+        inst = Instance(Graph(5, [(i, i + 1) for i in range(4)]), (0, 1, 0, 1, 0),
+                        Motif({0: 2, 1: 1}))
+        assert cli._auto_pick(inst, {}) == ("maxleaf", "degree3-vertices", 0, None)
+
+    @given(small_instances(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_the_pick_solves_like_brute(self, inst, with_cover):
+        covers = {"vcc": greedy_vertex_clique_cover(inst.graph)} if with_cover else {}
+        algo, _, _, structure = cli._auto_pick(inst, covers)
+        assert cli.SOLVERS[algo](inst, structure).is_yes == solve_brute(inst).is_yes
 
 
 class TestVerify:

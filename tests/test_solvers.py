@@ -15,12 +15,18 @@ import motifkit
 from motifkit.core import (
     CapacityError,
     Graph,
+    InputError,
     Instance,
     Motif,
     connected_components,
     verify_solution,
 )
-from motifkit.estimators import degree3_decomposition, greedy_vertex_clique_cover
+from motifkit.estimators import (
+    degree3_decomposition,
+    dist_to_clique_set,
+    greedy_vertex_clique_cover,
+    min_vertex_cover,
+)
 from motifkit.solvers import (
     solve_brute,
     solve_co_cluster,
@@ -47,10 +53,13 @@ from motifkit.solvers import (
     vertex_clique_cover,
     vertex_cover,
 )
+from motifkit.solvers import common
 from motifkit.solvers.common import (
+    guess_space,
     iter_connected,
     iter_guesses,
     pick_by_colors,
+    pruned_components,
 )
 
 
@@ -218,16 +227,41 @@ class TestSuppliedStructures:
         assert verify_solution(inst, out.witness)
 
     def test_edge_cover_must_cover_all_edges(self):
-        from motifkit.core import InputError
-
         g = Graph(3, [(0, 1), (1, 2)])
         inst = Instance(g, (0, 0, 0), Motif({0: 2}))
         with pytest.raises(InputError):
             solve_edge_clique_cover(inst, [[0, 1]])
 
-    def test_vertex_partition_must_be_partition(self):
-        from motifkit.core import InputError
+    @pytest.mark.parametrize(
+        "solve, inst, given",
+        [
+            (solve_vertex_cover, path_instance([0] * 4, {0: 3}), {0}),
+            (
+                solve_vertex_cover,
+                Instance(Graph(3, [(0, 2), (2, 1)]), (0, 0, 0), Motif({0: 3})),
+                set(),
+            ),
+            (
+                solve_dist_clique,
+                Instance(Graph(3, [(0, 2), (2, 1)]), (0, 0, 0), Motif({0: 2})),
+                set(),
+            ),
+        ],
+    )
+    def test_deletion_set_that_leaves_the_wrong_graph_is_refused(
+        self, solve, inst, given
+    ):
+        # Trusted, the two vertex covers gave a wrong NO, and the distance-to-
+        # clique set an invalid witness.
+        with pytest.raises(InputError, match="supplied set is not a"):
+            solve(inst, given)
 
+    def test_valid_deletion_sets_pass_the_check(self):
+        inst = path_instance([0] * 4, {0: 3})
+        assert solve_vertex_cover(inst, {1, 2}).is_yes
+        assert solve_dist_clique(inst, {0, 3}).is_yes
+
+    def test_vertex_partition_must_be_partition(self):
         g = Graph(3, [(0, 1), (1, 2)])
         inst = Instance(g, (0, 0, 0), Motif({0: 2}))
         with pytest.raises(InputError):
@@ -357,6 +391,25 @@ class TestIterGuesses:
             if all(supply[c] >= m for c, m in left.items())
         ]
         assert dict(supply) == before
+
+
+    def test_a_color_the_candidates_cannot_pay_ends_the_walk_at_once(self):
+        class Reads(list):
+            """Counts `candidates[i]` reads: one per prefix extension."""
+
+            count = 0
+
+            def __getitem__(self, i):
+                self.count += 1
+                return super().__getitem__(i)
+
+        # The motif needs color 0 twice, only candidate 0 has it, and the
+        # supply adds none: every prefix is cut before it is built.
+        n = 16
+        inst = Instance(Graph(n), (0,) + (1,) * (n - 1), Motif({0: 2, 1: 4}))
+        candidates = Reads(range(n))
+        assert list(iter_guesses(inst, candidates, Counter({1: 4}))) == []
+        assert candidates.count == 0
 
 
 class TestIterConnected:
@@ -828,6 +881,34 @@ class TestGuessCounts:
         assert count_guesses(module, kernel, solve) == bounded
         with no_supply_bounds(module):
             assert count_guesses(module, kernel, solve) == unbounded
+
+
+class TestCountGuesses:
+    @given(guess_cases(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_count_equals_enumeration(self, case, data):
+        inst, candidates = case
+        supply = data.draw(
+            st.dictionaries(st.integers(0, 4), st.integers(0, 3)).map(Counter)
+        )
+        got = common.count_guesses(inst, candidates, supply)
+        assert got == len(list(iter_guesses(inst, candidates, supply)))
+
+    @pytest.mark.parametrize(
+        "solver, inst, estimate",
+        [
+            ("dist-clique", HITTING_SET.instance, dist_to_clique_set),
+            ("vc", DOMSET_CLUSTER_P4.instance, min_vertex_cover),
+        ],
+    )
+    def test_count_is_what_the_solver_walks(self, solver, inst, estimate):
+        # On these NO instances the solver walks every guess it counts.
+        guesses = PINNED_COUNTS[solver][3][1]
+        predicted = sum(
+            common.count_guesses(sub, *guess_space(sub, estimate(sub.graph)))
+            for sub, _ in pruned_components(inst)
+        )
+        assert predicted == guesses
 
 
 def count_families(module, solve, sizes, joined):

@@ -82,3 +82,41 @@ class TestBenchPairs:
             assert not any(prefix.startswith(tree) for tree in trees)
             assert not os.path.exists(prefix)
         assert "PYTHONPYCACHEPREFIX" in json.loads(out.read_text())["order"]
+
+
+same_output = load_tool("same_output")
+
+
+class TestSameOutput:
+    def test_differing_cell_reports_verdict_and_witness_checks(self, tmp_path):
+        parent = (0, "YES\n0 1 2\n", "auto: vc (vertex-cover = 6)\n")
+        change = (0, "YES\n0 2 5\n", "auto: maxleaf (degree3-vertices = 7)\n")
+        runs = []
+
+        def fake_run(argv, env, **kwargs):
+            witness = Path(argv[-1]).read_text()
+            runs.append((argv[3:5], env["PYTHONPATH"], witness))
+            return SimpleNamespace(stdout="OK\n" if witness == "0 1 2\n" else "not connected\n")
+
+        with mock.patch.object(same_output.subprocess, "run", fake_run):
+            lines = same_output.explain(
+                Path("/parent/src"), Path("x.gm"), parent, change, str(tmp_path)
+            )
+        assert lines == [
+            "  verdict and exit code: same",
+            "  parent witness: verifies",
+            "  change witness: fails (not connected)",
+        ]
+        # Both witnesses are checked by the parent's `motifkit verify`.
+        assert runs == [
+            (["verify", "x.gm"], "/parent/src", "0 1 2\n"),
+            (["verify", "x.gm"], "/parent/src", "0 2 5\n"),
+        ]
+
+    def test_verdict_change_is_flagged_and_no_answer_is_not_verified(self, tmp_path):
+        with mock.patch.object(same_output.subprocess, "run") as run:
+            lines = same_output.explain(
+                Path("/p"), Path("x.gm"), (1, "NO\n", ""), (0, "NO\n", ""), str(tmp_path)
+            )
+        assert lines == ["  verdict and exit code: DIFFER"]
+        assert not run.called

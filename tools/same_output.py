@@ -28,7 +28,10 @@ A cell is identical when both sides finish with the same stdout, stderr and
 exit code.  The script prints how many cells are identical, how many differ
 and how many timed out on one side or on both, and names every cell that
 differs or timed out on one side only; for the latter it gives the seconds
-the other side took.  A cell is also counted, and named with both sides'
+the other side took.  Under each cell that differs, it says whether the two
+sides' verdict lines (the first line of stdout) and exit codes match, and,
+for each side that answers YES, whether its witness passes `motifkit
+verify` under PARENT_SRC.  A cell is also counted, and named with both sides'
 seconds, as `near limit` when a side finished but took more than half the
 limit: such a cell can time out on either side from one run to the next.
 It exits 1 if a workload's corpus hash differs between the sides or any
@@ -134,6 +137,35 @@ def run_cell(src: Path, path: Path, argv: list, limit: float, cwd: str):
     return (done.returncode, done.stdout, done.stderr), time.perf_counter() - start
 
 
+def verify_witness(src: Path, path: Path, stdout: str, cwd: str) -> str:
+    """What `motifkit verify`, run under `src`, says of the witness that a
+    YES answer's stdout holds: `OK` or the failure."""
+    witness = Path(cwd) / "witness.txt"
+    witness.write_text(stdout.split("\n", 1)[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "motifkit.cli", "verify", str(path), str(witness)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        cwd=cwd,
+    )
+    return done.stdout.strip()
+
+
+def explain(src: Path, path: Path, parent: tuple, change: tuple, cwd: str) -> list:
+    """The lines printed under a cell that differs; each side is its
+    (exit code, stdout, stderr)."""
+    verdicts = [side[1].split("\n", 1)[0] for side in (parent, change)]
+    same = verdicts[0] == verdicts[1] and parent[0] == change[0]
+    lines = [f"  verdict and exit code: {'same' if same else 'DIFFER'}"]
+    for name, (_, stdout, _) in (("parent", parent), ("change", change)):
+        if stdout.startswith("YES\n"):
+            answer = verify_witness(src, path, stdout, cwd)
+            verdict = "verifies" if answer == "OK" else f"fails ({answer})"
+            lines.append(f"  {name} witness: {verdict}")
+    return lines
+
+
 def _took(seconds) -> str:
     return "timeout" if seconds is None else f"{seconds:.2f} s"
 
@@ -194,6 +226,7 @@ def main(argv=None) -> int:
                     else:
                         counts["differ"] += 1
                         print(f"differs: {cell}\n  parent {parent!r}\n  change {change!r}")
+                        print("\n".join(explain(sides[0], path, parent, change, tmp)))
     print(f"seed {args.seed}, limit {args.limit:g} s per cell")
     for name, count in counts.items():
         print(f"{name}: {count}")
