@@ -64,7 +64,7 @@ from .solvers import (
     solve_vertex_clique_cover,
 )
 from .solvers.co_cluster import kernel_calls
-from .solvers.common import count_guesses, guess_space, pruned_components
+from .solvers.common import count_guesses, guess_space
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -142,18 +142,17 @@ def _auto_pick(
 ) -> Tuple[str, str, int, Structure]:
     """(algorithm, parameter name, value, the deletion set or cover the value
     counts, handed on to the solver) with the fewest predicted guesses:
-    `count_guesses` over the components, times `kernel_calls` for cocluster,
-    or 2^c - 1 families for a cover of c cliques.  The probes run after
-    maxleaf's and the covers' predictions, in `DELETION_SETS` order while the
-    best is over 1, each capped at the larger of its own cap and the largest
+    `count_guesses` over `inst.pruned_components`, times `kernel_calls` for
+    cocluster, or 2^c - 1 families for a cover of c cliques.  The probes run
+    after maxleaf's and the covers' predictions, in `DELETION_SETS` order while
+    the best is over 1, each capped at the larger of its own cap and the largest
     k with b^k at most the best, b its obstacle size (a probe capped at k
     explores about b^k branch nodes).  Ties go by `TIE_ORDER`."""
     g = inst.graph
-    parts = list(pruned_components(inst))
 
     def predict(algo: str, structure: Structure) -> int:
         total = 0
-        for sub, ids in parts:
+        for sub, ids in inst.pruned_components:
             s = (degree3_vertices(sub.graph) if algo == "maxleaf"
                  else {i for i, v in enumerate(ids) if v in structure})
             guesses = count_guesses(sub, *guess_space(sub, s))
@@ -184,6 +183,11 @@ def _auto_pick(
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(_read_text(args.instance))
     covers = _read_covers(args)
+    # Checked here too, so that an invalid cover fails whatever `auto` picks.
+    for algo, mode, name in (("vcc", "vertex-partition", "a vertex clique partition"),
+                             ("ecc", "edge-cover", "an edge clique cover")):
+        if algo in covers and not validate_clique_cover(inst.graph, covers[algo], mode):
+            raise InputError(f"supplied family is not {name}")
     algo = args.algo
     if algo == "auto":
         algo, param, value, structure = _auto_pick(inst, covers)

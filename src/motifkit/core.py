@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -165,6 +166,20 @@ class Instance:
                 f"coloring has {len(self.coloring)} entries for {self.graph.n} vertices"
             )
         object.__setattr__(self, "coloring", tuple(self.coloring))
+
+    @cached_property
+    def pruned_components(self) -> List[Tuple["Instance", List[int]]]:
+        """`restrict` on each component (by lowest vertex) of at least |M|
+        vertices left once off-color vertices are pruned: a connected solution
+        lies in one.  Built once, for `auto`'s prediction and the solver.  A
+        copy of `self` is restricted, so that no part is `self`: a cache that
+        holds its owner is a cycle, which only the garbage collector frees."""
+        pruned, pruned_ids = prune_wrong_colors(self)
+        return [
+            restrict(replace(self), [pruned_ids[v] for v in comp])
+            for comp in connected_components(pruned.graph, range(pruned.graph.n))
+            if len(comp) >= self.motif.total
+        ]
 
 
 @dataclass(frozen=True)

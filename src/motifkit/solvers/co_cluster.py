@@ -14,7 +14,7 @@ from ..core import Graph, Instance, Motif, SolveOutcome, connected_components, r
 from ..estimators import co_cluster_classes, dist_to_co_cluster_set
 from .common import dispatch_deletion_set
 from .dist_clique import _solve_connected as _solve_dc_connected
-from .vertex_cover import solve_vertex_cover
+from .vertex_cover import _solve_connected as _solve_vc_connected
 
 
 def solve_co_cluster(
@@ -43,12 +43,15 @@ def _solve_connected(inst: Instance, x: Set[int]) -> Optional[List[int]]:
     g = inst.graph
     classes = _classes(g, x)
 
-    # Case A: the solution meets at most one class, so it lives in
-    # G[X + class] where X is a vertex cover.
+    # Case A: the solution meets at most one class, so it lives in a
+    # component of G[X + class], on which the trace of X is a vertex cover.
     for cls in classes or [[]]:
-        found = _solve_on_subset(inst, sorted(x | set(cls)), x)
-        if found is not None:
-            return found
+        sub, ids = restrict(inst, sorted(x | set(cls)))
+        for comp, comp_ids in sub.pruned_components:
+            lift = [ids[v] for v in comp_ids]
+            found = _solve_vc_connected(comp, {i for i, v in enumerate(lift) if v in x})
+            if found is not None:
+                return [lift[v] for v in found]
 
     # Case B: two vertices s, t from distinct classes are in the solution.
     # Intra-class edges are added (they cannot hurt: s and t glue the
@@ -67,14 +70,6 @@ def _solve_connected(inst: Instance, x: Set[int]) -> Optional[List[int]]:
             if found is not None:
                 return found
     return None
-
-
-def _solve_on_subset(
-    inst: Instance, vertices: List[int], cover: Set[int]
-) -> Optional[List[int]]:
-    sub, ids = restrict(inst, vertices)
-    outcome = solve_vertex_cover(sub, {i for i, v in enumerate(ids) if v in cover})
-    return [ids[v] for v in outcome.witness] if outcome.is_yes else None
 
 
 def _try_pair(

@@ -7,39 +7,21 @@ from collections import Counter
 from math import comb
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..core import (
-    Graph,
-    InputError,
-    Instance,
-    SolveOutcome,
-    connected_components,
-    prune_wrong_colors,
-    restrict,
-    verify_solution,
-)
-
-
-def pruned_components(inst: Instance) -> Iterator[Tuple[Instance, List[int]]]:
-    """`restrict` on each component (by lowest vertex) of at least |M| vertices
-    left once off-color vertices are pruned: a connected solution lies in one."""
-    pruned, pruned_ids = prune_wrong_colors(inst)
-    for comp in connected_components(pruned.graph, range(pruned.graph.n)):
-        if len(comp) >= inst.motif.total:
-            yield restrict(inst, [pruned_ids[v] for v in comp])
+from ..core import Graph, InputError, Instance, SolveOutcome, verify_solution
 
 
 def dispatch_components(
     inst: Instance,
     solve_connected: Callable[[Instance, List[int]], Optional[Sequence[int]]],
 ) -> SolveOutcome:
-    """Pass each of `pruned_components` to `solve_connected` with its `ids`
+    """Pass each of `inst.pruned_components` to `solve_connected` with its `ids`
     (original vertex ids), so the solver can restrict any structure it was
     given; it returns the witness's vertices, in any order, or None.  A
     motif of one vertex is answered here, by the lowest vertex pruning
     keeps.  The witness is lifted back to original ids and verified: this
     is the one check.
     """
-    for sub, ids in pruned_components(inst):
+    for sub, ids in inst.pruned_components:
         # Pruning keeps only vertices of a one-vertex motif's color.
         found = [0] if inst.motif.total == 1 else solve_connected(sub, ids)
         if found is not None:
@@ -176,8 +158,20 @@ def iter_guesses(
 
 def guess_space(inst: Instance, s: Set[int]) -> Tuple[List[int], Counter]:
     """The candidates, `s` ascending, and the supply, the colors outside `s`,
-    of the maxleaf, dist-clique and vc guess loops, which `auto` counts."""
+    of `search_guesses`, which `auto` counts."""
     return sorted(s), Counter(c for v, c in enumerate(inst.coloring) if v not in s)
+
+
+def search_guesses(inst: Instance, s: Set[int], try_guess: Callable[..., Optional[List[int]]],
+                   links: Optional[Sequence[int]] = None) -> Optional[List[int]]:
+    """The first witness `try_guess(guess, leftover)` gives over `iter_guesses`
+    on `guess_space(inst, s)` with `links` (per vertex of `s` ascending), or
+    None: the one guess loop of the maxleaf, dist-clique and vc solvers."""
+    for guess, leftover in iter_guesses(inst, *guess_space(inst, s), links):
+        found = try_guess(guess, leftover)
+        if found is not None:
+            return found
+    return None
 
 
 def count_guesses(inst: Instance, candidates: Sequence[int], supply: Counter) -> int:
@@ -204,6 +198,10 @@ def iter_connected(
     vertex, only through neighbors with larger ids that no earlier member is
     adjacent to.  `keep(sub)` is asked of every prefix, in the order it was
     grown; a prefix it rejects is not extended.
+
+    It stays beside `iter_guesses`: `brute`, the tests' oracle, must not share
+    the enumerator it checks, and the ecc and vcc candidates are uncolored
+    cliques, to which the color cuts of `iter_guesses` do not apply.
     """
     sub: List[int] = []
 

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..core import Instance, SolveOutcome, connected_components
 from ..csct import CsctInstance, solve_csct
 from ..estimators import dist_to_clique_set
-from .common import dispatch_deletion_set, guess_space, iter_guesses, pick_by_colors
+from .common import dispatch_deletion_set, pick_by_colors, search_guesses
 
 
 def solve_dist_clique(
@@ -33,22 +33,18 @@ def _solve_connected(inst: Instance, s: Set[int]) -> Optional[List[int]]:
     picks = pick_by_colors(inst, motif.as_counter(), clique, set())
     if picks is not None:
         return picks
-    # The clique part has exactly the colors a guess leaves over.
-    s_list, supply = guess_space(inst, s)
 
     # Per-vertex adjacency into S as a bitmask, for fast set construction,
     # filled from S's side: only S's rows are walked.
-    s_index = {v: i for i, v in enumerate(s_list)}
+    s_index = {v: i for i, v in enumerate(sorted(s))}
     nbr_mask = [0] * g.n
     for u, i in s_index.items():
         for v in g.adjacency[u]:
             nbr_mask[v] |= 1 << i
 
-    for s_prime, remaining in iter_guesses(inst, s_list, supply):
-        found = _try_guess(inst, s_prime, remaining, clique, s_index, nbr_mask)
-        if found is not None:
-            return found
-    return None
+    # The clique part has exactly the colors a guess leaves over.
+    return search_guesses(inst, s, lambda s_prime, remaining: _try_guess(
+        inst, s_prime, remaining, clique, s_index, nbr_mask))
 
 
 def _try_guess(

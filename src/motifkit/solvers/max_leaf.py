@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core import Instance, SolveOutcome, connected_components
 from ..estimators import PathComponent, degree3_decomposition
-from .common import dispatch_components, guess_space, iter_guesses
+from .common import dispatch_components, search_guesses
 from .paths import solve_on_path
 
 
@@ -41,15 +41,10 @@ def _solve_connected(inst: Instance) -> Optional[List[int]]:
             return path.vertices[i : j + 1]
 
     # The paths, which hold every vertex outside S, supply a leftover.
-    s_order, supply = guess_space(inst, s)
     fits = _attached_fit(inst, s, paths)
-    links = _link_masks(inst, s_order, paths)
-    for t, remaining in iter_guesses(inst, s_order, supply, links):
-        if fits(t, remaining):
-            found = _try_trace(inst, set(t), remaining, paths)
-            if found is not None:
-                return found
-    return None
+    links = _link_masks(inst, sorted(s), paths)
+    return search_guesses(inst, s, lambda t, remaining: (
+        _try_trace(inst, set(t), remaining, paths) if fits(t, remaining) else None), links)
 
 
 def _link_masks(inst: Instance, s: List[int], paths: List[PathComponent]) -> List[int]:

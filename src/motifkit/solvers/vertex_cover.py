@@ -18,7 +18,7 @@ from ..combinatorics import (
     max_matching_with_cover,
 )
 from ..estimators import min_vertex_cover
-from .common import dispatch_deletion_set, guess_space, iter_guesses, pick_by_colors
+from .common import dispatch_deletion_set, pick_by_colors, search_guesses
 
 
 def solve_vertex_cover(
@@ -34,12 +34,8 @@ def _solve_connected(inst: Instance, cover: Set[int]) -> Optional[List[int]]:
     independent = [v for v in range(g.n) if v not in cover]
     # A solution of two or more vertices spans an edge, so it meets the
     # cover in a nonempty S'.
-    s_list, supply = guess_space(inst, cover)
-    for s_prime, remaining in iter_guesses(inst, s_list, supply):
-        found = _try_guess(inst, s_prime, remaining, independent)
-        if found is not None:
-            return found
-    return None
+    return search_guesses(inst, cover, lambda s_prime, remaining: _try_guess(
+        inst, s_prime, remaining, independent))
 
 
 def _try_guess(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motifkit import cli, estimators
+from motifkit import cli, core, estimators
 from motifkit.cli import (
     EXIT_CAPACITY,
     EXIT_NO,
@@ -107,6 +107,35 @@ class TestSolve:
         assert calls == [13]
         witness = [int(v) for v in capsys.readouterr().out.splitlines()[1].split()]
         assert verify_solution(inst, witness)
+
+    def test_auto_prunes_once(self, tmp_path, monkeypatch):
+        # `auto` predicts from the split the solver then runs on.
+        self.clique_hs(tmp_path)
+        prune, calls = core.prune_wrong_colors, []
+
+        def counted(inst):
+            calls.append(inst)
+            return prune(inst)
+
+        monkeypatch.setattr(core, "prune_wrong_colors", counted)
+        assert main(["solve", str(tmp_path / "clique-hs.gm")]) == EXIT_YES
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ("--vertex-clique-cover", "not a vertex clique partition"),
+            ("--edge-clique-cover", "not an edge clique cover"),
+        ],
+    )
+    def test_auto_refuses_an_invalid_cover(self, yes_file, tmp_path, capsys, option, message):
+        # `auto` picks maxleaf here, which takes no cover.
+        cover = tmp_path / "cover.txt"
+        cover.write_text("0 1\n1 5\n")
+        assert main(["solve", yes_file, option, str(cover)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     @pytest.mark.parametrize("algo", ["ecc", "vcc"])
     def test_cover_algo_requires_cover_file(self, yes_file, algo):

@@ -44,6 +44,7 @@ from motifkit.generators import (
     gen_domset_reduction,
     gen_hitting_set_split,
     gen_x3c_paths,
+    gen_x3c_superstar_cliques,
 )
 from motifkit.solvers import (
     co_cluster,
@@ -59,7 +60,6 @@ from motifkit.solvers.common import (
     iter_connected,
     iter_guesses,
     pick_by_colors,
-    pruned_components,
 )
 
 
@@ -340,6 +340,21 @@ def test_kernel_witness_cannot_bypass_the_check(solver):
     assert bad.called
 
 
+def test_cocluster_checks_its_witness_once_and_skips_the_public_vc_solver():
+    # Case A hands each component of G[X + class] to the vc kernel: the
+    # public vc solver would prune, split and verify a second time.  Every
+    # call of the public vc solver goes through its module's dispatcher.
+    inst = gen_x3c_superstar_cliques(FIG_SOURCE).instance
+    with mock.patch.object(
+        common, "verify_solution", wraps=verify_solution
+    ) as verified, mock.patch.object(
+        vertex_cover, "dispatch_deletion_set", wraps=common.dispatch_deletion_set
+    ) as vc_solves:
+        assert solve_co_cluster(inst).is_yes
+    assert verified.call_count == 1
+    assert vc_solves.call_count == 0
+
+
 def ref_iter_guesses(inst, candidates):
     """`iter_guesses` as every `combinations` subset filtered by `contains`,
     each with its leftover from `minus`."""
@@ -596,7 +611,7 @@ def links_every_trace(inst, s, paths):
 def no_supply_bounds(module):
     """`module`'s solver tries every guess that fits the motif."""
     with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(module, "iter_guesses", unbounded_guesses))
+        stack.enter_context(mock.patch.object(common, "iter_guesses", unbounded_guesses))
         if module is max_leaf:
             stack.enter_context(
                 mock.patch.object(max_leaf, "_link_masks", links_every_trace)
@@ -830,7 +845,7 @@ class TestDistCliqueSupply:
 def count_guesses(module, kernel, solve):
     """Whether `solve()` says YES, how many guesses `module` enumerates on the
     way, and how many calls it makes to its inner `kernel`."""
-    enumerate_guesses = module.iter_guesses
+    enumerate_guesses = common.iter_guesses
     guesses = 0
 
     def counting(*args):
@@ -839,7 +854,7 @@ def count_guesses(module, kernel, solve):
             guesses += 1
             yield guess
 
-    with mock.patch.object(module, "iter_guesses", counting), mock.patch.object(
+    with mock.patch.object(common, "iter_guesses", counting), mock.patch.object(
         module, kernel, wraps=getattr(module, kernel)
     ) as calls:
         is_yes = solve().is_yes
@@ -906,7 +921,7 @@ class TestCountGuesses:
         guesses = PINNED_COUNTS[solver][3][1]
         predicted = sum(
             common.count_guesses(sub, *guess_space(sub, estimate(sub.graph)))
-            for sub, _ in pruned_components(inst)
+            for sub, _ in inst.pruned_components
         )
         assert predicted == guesses
 

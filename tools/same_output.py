@@ -13,6 +13,7 @@ side, one subprocess per cell with a time limit of S seconds (default 5):
     dense-clique  solve --algo dist-clique
     sparse-paths  solve --algo maxleaf
     auto-mixed    solve with auto, vc, cocluster, dist-clique and maxleaf;
+                  solve with auto and a vertex clique cover file;
                   solve --algo vcc and --algo ecc with a cover file;
                   params, and params --limit 7
 
@@ -57,6 +58,7 @@ CELLS = {
     "sparse-paths": [["solve", "--algo", "maxleaf"]],
     "auto-mixed": [
         ["solve"],
+        ["solve", "--vertex-clique-cover", "{vcc}"],
         ["solve", "--algo", "vc"],
         ["solve", "--algo", "cocluster"],
         ["solve", "--algo", "dist-clique"],
