@@ -45,16 +45,16 @@ def _hitting_set(
     obstacle of a family, which two functions of the mask `left` of the
     vertices not yet removed describe: `first(left, start)`, the first
     obstacle inside left (a tuple of vertices, of one size for the whole
-    family; none lies before start), and `packing(left, obstacle, cap)`, how
-    many disjoint obstacles a greedy packing inside left holds from
-    `obstacle`, the first one, on, counted up to cap + 1.  Each of those
-    needs its own vertex of the set.
+    family; none lies before start), and `packing(left, obstacle, cap)`, a
+    lower bound on how many vertices of left any hitting set needs, got by
+    a greedy packing of disjoint subgraphs of left from `obstacle`, the
+    first one, on, and counted up to cap + 1.
 
     Returns attempt(budget): the first set of at most budget vertices found,
     or None.  Each branch node removes, in turn, each vertex of the first
     obstacle left; removing vertices creates no obstacle, so its children
-    resume the scan there.  A node gives up when its packing holds more
-    obstacles than its budget: no set below it fits, so the first set found
+    resume the scan there.  A node gives up when its packing needs more
+    vertices than its budget: no set below it fits, so the first set found
     is the same as without the check.
     """
     full = (1 << n) - 1
@@ -65,10 +65,10 @@ def _hitting_set(
         hit = first(left, start)
         if hit is None:
             return left
-        # A packing holds at most one obstacle per len(hit) vertices left.
+        # A packing counts at most |left| - 1: all of left but one vertex is
+        # a hitting set, since every obstacle has two vertices or more.
         if budget == 0 or (
-            budget < left.bit_count() // len(hit)
-            and packing(left, hit, budget) > budget
+            budget < left.bit_count() - 1 and packing(left, hit, budget) > budget
         ):
             return None
         for x in hit:
@@ -98,13 +98,25 @@ def _next_edge(nbr: Sequence[int], left: int, start: int) -> Optional[Obstacle]:
     return None
 
 
-def _matching(nbr: Sequence[int], left: int, edge: Obstacle, cap: int) -> int:
+def _clique_packing(
+    nbr: Sequence[int], left: int, edge: Obstacle, cap: int
+) -> int:
+    """The vertex-cover family's bound: disjoint cliques of left, each grown
+    from the next u that still has a neighbour in left by adding, again and
+    again, the lowest vertex of left adjacent to every member.  A cover
+    leaves out at most one vertex of a clique, so a clique of s vertices
+    needs s - 1 of its vertices, and an edge 1."""
     size = 0
     for u in range(edge[0], len(nbr)):
-        rest = nbr[u] & left
-        if rest and left >> u & 1:
-            left &= ~(1 << u | rest & -rest)
-            size += 1
+        common = nbr[u] & left
+        if common and left >> u & 1:
+            clique = 1 << u
+            while common:
+                low = common & -common
+                clique |= low
+                common &= nbr[low.bit_length() - 1]
+            left &= ~clique
+            size += clique.bit_count() - 1
             if size > cap:
                 break
     return size
@@ -120,11 +132,13 @@ def _buss_cover(
     the least k with f <= k.  The rest has degrees of at most k, so k - f
     vertices cover at most (k - f) * k of its edges.  Otherwise
     `_hitting_set` branches on the kernel, the vertices that still touch an
-    edge, with budget exactly k - f: smaller k failed.  Only the kernel gets
-    bitmasks, built again only when the forced set changes.  Degrees come
-    from row lengths, and the edges the forced vertices cover from their
-    rows alone.  The cover found is the one the same branching finds over
-    the whole graph.
+    edge, with budget exactly k - f: smaller k failed.  Its bound is
+    `_clique_packing`: a cover holds all but at most one vertex of each
+    clique, so disjoint cliques of s_i vertices need sum(s_i - 1) of its
+    vertices.  Only the kernel gets bitmasks, built again only when the
+    forced set changes.  Degrees come from row lengths, and the edges the
+    forced vertices cover from their rows alone.  The cover found is the
+    one the same branching finds over the whole graph.
     """
     n, rows = g.n, g.adjacency
     degree = [n - 1 - len(row) if complement else len(row) for row in rows]
@@ -164,7 +178,9 @@ def _buss_cover(
                 everyone = (1 << len(kernel)) - 1
                 masks = [everyone ^ mask ^ bits[v] for v, mask in zip(kernel, masks)]
             search = _hitting_set(
-                len(masks), partial(_next_edge, masks), partial(_matching, masks)
+                len(masks),
+                partial(_next_edge, masks),
+                partial(_clique_packing, masks),
             )
         found = search(k - f)
         return None if found is None else {*forced, *map(kernel.__getitem__, found)}
@@ -176,9 +192,10 @@ def _buss_cover(
 
 def min_vertex_cover(g: Graph, limit: Optional[int] = None) -> Optional[Set[int]]:
     """A minimum vertex cover: Buss's kernel, then `_hitting_set` removing
-    either end of the first uncovered edge.  With a limit, gives up and
-    returns None once the minimum provably exceeds it (used for cheap
-    parameter probing)."""
+    either end of the first uncovered edge, and giving up at a node whose
+    greedy packing of disjoint cliques needs more vertices than its budget.
+    With a limit, gives up and returns None once the minimum provably
+    exceeds it (used for cheap parameter probing)."""
     return _buss_cover(g, False, limit)
 
 
@@ -218,11 +235,47 @@ def _find_co_p3(g: Graph) -> Optional[Tuple[int, int, int]]:
 def _co_p3_packing(
     nbr: Sequence[int], left: int, bad: Optional[Obstacle], cap: int
 ) -> int:
-    """The co-P3 family's packing: disjoint co-P3s in `_next_co_p3`'s order."""
+    """The co-cluster family's bound: disjoint co-P3s in `_next_co_p3`'s
+    order, each needing one vertex of the set; where they do not exceed
+    cap, `_cluster_packing` instead if it counts more."""
+    size, rest, first = 0, left, bad
+    while bad is not None and size <= cap:
+        rest &= ~(1 << bad[0] | 1 << bad[1] | 1 << bad[2])
+        size += 1
+        bad = _next_co_p3(nbr, rest, bad[0])
+    return size if size > cap else max(size, _cluster_packing(nbr, left, first, cap))
+
+
+def _cluster_packing(
+    nbr: Sequence[int], left: int, bad: Optional[Obstacle], cap: int
+) -> int:
+    """Disjoint induced cluster subgraphs H of left.  Each H starts from the
+    first co-P3 (u, v, w) left as the cliques {u, v} and {w}; then each
+    vertex of left, ascending, joins the clique that is exactly its
+    neighbourhood in H, or becomes a clique of its own if it has none there,
+    and otherwise stays out.  A co-cluster keeps either one clique of H or
+    at most one vertex of each clique, so an H with t cliques of sizes s_i
+    needs sum(s_i) - max(max(s_i), t) vertices of the set."""
     size = 0
     while bad is not None and size <= cap:
-        left &= ~(1 << bad[0] | 1 << bad[1] | 1 << bad[2])
-        size += 1
+        cliques = {1 << bad[0] | 1 << bad[1], 1 << bad[2]}
+        inside = 1 << bad[0] | 1 << bad[1] | 1 << bad[2]
+        rest = left & ~inside
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            seen = nbr[low.bit_length() - 1] & inside
+            if not seen:
+                cliques.add(low)
+            elif seen in cliques:
+                cliques.remove(seen)
+                cliques.add(seen | low)
+            else:
+                continue
+            inside |= low
+        largest = max(clique.bit_count() for clique in cliques)
+        size += inside.bit_count() - max(largest, len(cliques))
+        left &= ~inside
         bad = _next_co_p3(nbr, left, bad[0])
     return size
 
@@ -232,8 +285,12 @@ def dist_to_co_cluster_set(
 ) -> Optional[Set[int]]:
     """Minimum deletion set leaving a co-cluster: `_hitting_set` removing u,
     v or w of the first co-P3 (u, v, w) left, an edge plus a vertex adjacent
-    to neither end.  With a limit, returns None once the minimum provably
-    exceeds it."""
+    to neither end.  A node gives up when disjoint co-P3s, one vertex each,
+    or disjoint induced cluster subgraphs, all but the largest clique or all
+    but one vertex per clique each, need more vertices than its budget: a
+    co-cluster holds no co-P3, so what it keeps of a cluster subgraph is a
+    clique or an independent set (`_cluster_packing`).  With a limit,
+    returns None once the minimum provably exceeds it."""
     nbr = g.neighbour_masks()
     search = _hitting_set(g.n, partial(_next_co_p3, nbr), partial(_co_p3_packing, nbr))
     return _deepen(g.n, limit, search)

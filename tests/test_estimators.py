@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from motifkit import estimators
 from motifkit.core import CapacityError, Graph, InputError, connected_components
 from motifkit.estimators import (
+    _clique_packing,
+    _cluster_packing,
+    _co_p3_packing,
     _find_co_p3,
+    _next_co_p3,
+    _next_edge,
     co_cluster_classes,
     degree3_decomposition,
     dist_to_clique_set,
@@ -411,6 +416,70 @@ def count_branch_nodes(search):
     return found, nodes
 
 
+def disjoint_cliques(*sizes):
+    """Pairwise non-adjacent cliques of the given sizes on consecutive
+    vertices."""
+    edges, start = [], 0
+    for size in sizes:
+        edges.extend(combinations(range(start, start + size), 2))
+        start += size
+    return Graph(start, edges)
+
+
+def clique_packing(masks):
+    """`_clique_packing` of the whole graph with neighbour masks `masks`,
+    from its first edge, uncapped; 0 without an edge."""
+    full = (1 << len(masks)) - 1
+    edge = _next_edge(masks, full, 0)
+    return 0 if edge is None else _clique_packing(masks, full, edge, len(masks))
+
+
+def cluster_packings(g):
+    """(`_cluster_packing`, `_co_p3_packing`) of the whole of g from its
+    first co-P3, uncapped: the second is the larger of the first and the
+    co-P3 count.  (0, 0) without a co-P3."""
+    masks, full = g.neighbour_masks(), (1 << g.n) - 1
+    bad = _next_co_p3(masks, full)
+    if bad is None:
+        return 0, 0
+    return (
+        _cluster_packing(masks, full, bad, g.n),
+        _co_p3_packing(masks, full, bad, g.n),
+    )
+
+
+class TestPackingBoundIsLowerBound:
+    @given(graphs_of_any_density())
+    @settings(max_examples=200, deadline=None)
+    def test_clique_packing_of_graph_and_complement(self, g):
+        masks, full = g.neighbour_masks(), (1 << g.n) - 1
+        complement = [full ^ mask ^ 1 << v for v, mask in enumerate(masks)]
+        assert clique_packing(masks) <= len(ref_min_vertex_cover(g))
+        assert clique_packing(complement) <= len(
+            ref_min_vertex_cover(g.complement())
+        )
+
+    @given(graphs_of_any_density())
+    @settings(max_examples=200, deadline=None)
+    def test_cluster_packing(self, g):
+        cluster, either = cluster_packings(g)
+        assert cluster <= either <= len(ref_dist_to_co_cluster_set(g))
+
+    @pytest.mark.parametrize("s", [2, 3, 6])
+    def test_a_clique_needs_all_but_one(self, s):
+        assert clique_packing(disjoint_cliques(s).neighbour_masks()) == s - 1
+
+    @pytest.mark.parametrize(
+        "sizes", [(2, 1), (3, 1, 2, 1), (5, 2), (2, 1, 1, 1, 1), (4, 4, 1)]
+    )
+    def test_non_adjacent_cliques(self, sizes):
+        g = disjoint_cliques(*sizes)
+        expected = sum(sizes) - max(max(sizes), len(sizes))
+        assert cluster_packings(g) == (expected, expected)
+        assert len(ref_dist_to_co_cluster_set(g)) == expected
+        assert clique_packing(g.neighbour_masks()) == sum(sizes) - len(sizes)
+
+
 class TestPackingBoundAtEveryNode:
     # x3c-superstar of four triples (q = 2): 17 vertices, a vertex cover and
     # a co-cluster deletion set of 12 each, so both capped probes give up,
@@ -449,6 +518,39 @@ class TestPackingBoundAtEveryNode:
         assert len(found) == 13
         # With the bounds of the separate vertex-cover search: 14 nodes.
         assert nodes <= 14
+
+    def test_vertex_cover_probe_gives_up_at_the_root(self):
+        # The clique packing needs 12 vertices; the greedy matching held 8,
+        # so the probe branched over 237 nodes before giving up.
+        found, nodes = count_branch_nodes(lambda: min_vertex_cover(self.GRAPH, 10))
+        assert found is None
+        assert nodes == 0
+
+    def test_co_cluster_probe_scans_few_co_p3s(self, monkeypatch):
+        scans = 0
+        original = estimators._next_co_p3
+
+        def counted(*args):
+            nonlocal scans
+            scans += 1
+            return original(*args)
+
+        monkeypatch.setattr(estimators, "_next_co_p3", counted)
+        assert dist_to_co_cluster_set(self.GRAPH, 7) is None
+        # With the co-P3 packing alone: 921 scans.
+        assert scans <= 30
+
+    def test_exact_vertex_cover_visits_few_nodes(self):
+        found, nodes = count_branch_nodes(lambda: min_vertex_cover(self.GRAPH))
+        assert len(found) == 12
+        # With the greedy matching: 9,141 nodes.
+        assert nodes <= 30
+
+    def test_exact_co_cluster_visits_few_nodes(self):
+        found, nodes = count_branch_nodes(lambda: dist_to_co_cluster_set(self.GRAPH))
+        assert len(found) == 12
+        # With the co-P3 packing alone: 460,536 nodes.
+        assert nodes <= 2000
 
     def test_exact_searches_still_find_the_minimum(self):
         assert len(min_vertex_cover(self.GRAPH)) == 12
