@@ -354,11 +354,14 @@ def _write_texts(texts: Dict[str, str]) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    certificate = args.certificate or args.output + ".cert"
+    if os.path.realpath(certificate) == os.path.realpath(args.output):
+        raise InputError(f"--certificate and --output both name {args.output}")
     generated = REDUCTIONS[args.reduction](_read_text(args.source), args)
     comment = f"generated by reduction {args.reduction}"
     _write_texts({
         args.output: format_instance(generated.instance, comment),
-        args.certificate or args.output + ".cert": format_certificate(generated),
+        certificate: format_certificate(generated),
     })
     for warning in generated.warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -9,28 +9,31 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, 
 
 from ..core import Graph, InputError, Instance, SolveOutcome, verify_solution
 
+# A kernel takes one part of an instance and the part's original vertex ids
+# (to restrict any structure it was given), and returns the vertices of a
+# witness, in the part's ids and in any order, or None.
+Kernel = Callable[[Instance, List[int]], Optional[Sequence[int]]]
 
-def dispatch_components(
-    inst: Instance,
-    solve_connected: Callable[[Instance, List[int]], Optional[Sequence[int]]],
-) -> SolveOutcome:
-    """Pass each of `inst.pruned_components` to `solve_connected` with its `ids`
-    (original vertex ids), so the solver can restrict any structure it was
-    given; it returns the witness's vertices, in any order, or None.  A
-    motif of one vertex is answered here, by the lowest vertex pruning
-    keeps.  The witness is lifted back to original ids and verified: this
-    is the one check.
-    """
+
+def first_lifted(inst: Instance, solve_connected: Kernel) -> Optional[List[int]]:
+    """The first witness `solve_connected` gives over `inst.pruned_components`,
+    lifted back to `inst`'s ids, or None.  A motif of one vertex is answered
+    here, by the lowest vertex pruning keeps."""
     for sub, ids in inst.pruned_components:
         # Pruning keeps only vertices of a one-vertex motif's color.
         found = [0] if inst.motif.total == 1 else solve_connected(sub, ids)
         if found is not None:
-            witness = [ids[v] for v in found]
-            # An explicit check, not an assert, so it also runs under -O.
-            if not verify_solution(inst, witness):
-                raise AssertionError(f"solver returned an invalid witness {witness}")
-            return SolveOutcome.yes(witness)
-    return SolveOutcome.no()
+            return [ids[v] for v in found]
+    return None
+
+
+def dispatch_components(inst: Instance, solve_connected: Kernel) -> SolveOutcome:
+    """`first_lifted`'s witness, verified and wrapped: this is the one check."""
+    witness = first_lifted(inst, solve_connected)
+    # An explicit check, not an assert, so it also runs under -O.
+    if witness is not None and not verify_solution(inst, witness):
+        raise AssertionError(f"solver returned an invalid witness {witness}")
+    return SolveOutcome.no() if witness is None else SolveOutcome.yes(witness)
 
 
 def dispatch_deletion_set(

@@ -336,6 +336,15 @@ class TestGenerateChain:
         code, _ = self.gen(tmp_path, "x3c-paths", "z 1\n")
         assert code == EXIT_PARSE
 
+    def test_certificate_on_the_output_file_is_refused(self, tmp_path, capsys):
+        # Written last, the certificate would replace the instance.
+        source = "q 2\ns 0 2 4\ns 0 1 3\ns 1 3 5\ns 1 4 5\n"
+        out = str(tmp_path / "inst.gm")
+        code, _ = self.gen(tmp_path, "x3c-paths", source, "--certificate", out)
+        assert code == EXIT_PARSE
+        assert "wrote" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == [tmp_path / "src.txt"]
+
     @pytest.mark.parametrize(
         "reduction, source",
         [

@@ -143,7 +143,33 @@ class TestSmallInstances:
             solve_brute(inst)
 
 
+@st.composite
+def near_co_clusters(draw):
+    """A complete multipartite graph (1-4 classes of 1-3 vertices) plus 0-3
+    extra vertices joined at random, and the set of the extra vertices: a
+    distance-to-co-cluster set, whose classes `instances()` seldom draws."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    label = [i for i, k in enumerate(sizes) for _ in range(k)]
+    core = len(label)
+    n = core + draw(st.integers(0, 3))
+    edges = [(u, v) for u, v in combinations(range(core), 2) if label[u] != label[v]]
+    edges += [(u, v) for u, v in combinations(range(n), 2) if v >= core and draw(st.booleans())]
+    coloring = tuple(draw(st.integers(0, 2)) for _ in range(n))
+    motif = Counter(draw(st.lists(st.integers(0, 2), min_size=1, max_size=5)))
+    return Instance(Graph(n, edges), coloring, Motif(dict(motif))), set(range(core, n))
+
+
 class TestAgreement:
+    @given(near_co_clusters())
+    @settings(max_examples=150, deadline=None)
+    def test_co_cluster_matches_brute_near_a_co_cluster(self, case):
+        inst, extra = case
+        expected = solve_brute(inst).is_yes
+        for out in (solve_co_cluster(inst), solve_co_cluster(inst, extra)):
+            assert out.is_yes == expected
+            if out.is_yes:
+                assert verify_solution(inst, out.witness)
+
     @given(instances())
     @settings(max_examples=120, deadline=None)
     def test_all_solvers_match_brute(self, inst):
@@ -246,6 +272,8 @@ class TestSuppliedStructures:
                 Instance(Graph(3, [(0, 2), (2, 1)]), (0, 0, 0), Motif({0: 2})),
                 set(),
             ),
+            # A P4 is no co-cluster; trusted, the set gave a YES from one vertex.
+            (solve_co_cluster, path_instance([0] * 4, {0: 1}), set()),
         ],
     )
     def test_deletion_set_that_leaves_the_wrong_graph_is_refused(
@@ -896,6 +924,29 @@ class TestGuessCounts:
         assert count_guesses(module, kernel, solve) == bounded
         with no_supply_bounds(module):
             assert count_guesses(module, kernel, solve) == unbounded
+
+
+# A NO hitting-set split: the element clique is a co-cluster of nine
+# singleton classes once the three set vertices go, so case B tries every
+# element pair.  A pair uses up both element slots of the motif, and pruning
+# then leaves fewer than |M| vertices around it: no kernel call.
+THREE_TRIPLES = gen_hitting_set_split(
+    SetSystem(9, ((0, 1, 2), (3, 4, 5), (6, 7, 8)), 2)
+)
+
+
+class TestCoClusterPairs:
+    def test_pairs_are_recoloured_on_one_graph(self):
+        with mock.patch.object(
+            co_cluster, "_try_pair", wraps=co_cluster._try_pair
+        ) as pairs, mock.patch.object(
+            co_cluster, "_solve_dc_connected", wraps=co_cluster._solve_dc_connected
+        ) as kernels, mock.patch.object(
+            Graph, "__init__", autospec=True, side_effect=Graph.__init__
+        ) as built:
+            assert not solve_co_cluster(THREE_TRIPLES.instance)
+        # Contracting each pair into a new graph made 37 graphs and 36 calls.
+        assert (pairs.call_count, built.call_count, kernels.call_count) == (36, 1, 0)
 
 
 class TestCountGuesses:
