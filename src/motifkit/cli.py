@@ -432,6 +432,9 @@ def _bench_cell(job: Tuple[str, str, float]) -> Tuple[str, str, str, float, str]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    # NaN, inf and values past about 9.2e9 s make setitimer raise in a worker.
+    if not args.timeout <= 1e9:
+        raise InputError(f"--timeout must be at most 1e9 seconds, not {args.timeout}")
     directory = Path(args.directory)
     if not directory.is_dir():
         raise InputError(f"{args.directory} is not a directory")

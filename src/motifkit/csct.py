@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .core import CapacityError, InputError
 
 # Cap on the DP's memory.  Per subset of the universe it holds one `take`
@@ -20,7 +18,7 @@ from .core import CapacityError, InputError
 # of one step (measured peak: m + 44 bytes).
 MAX_TABLE_BYTES = 1 << 30
 _BYTES_PER_SUBSET = 48
-_INF = np.iinfo(np.int32).max // 2
+_INF = (1 << 30) - 1  # half the int32 maximum, so _INF + 1 does not overflow
 
 
 @dataclass(frozen=True)
@@ -61,6 +59,7 @@ def solve_csct(inst: CsctInstance) -> Optional[CsctSolution]:
         return CsctSolution(())
     if m == 0:
         return None
+    import numpy as np  # loaded only once the DP runs, as in `core._read_blocks`
 
     # Reorder so sets of the same color appear consecutively; remember the
     # original indices for the reconstructed answer.

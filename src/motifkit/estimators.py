@@ -26,14 +26,12 @@ def _deepen(
 ) -> Optional[Set[int]]:
     """What `attempt(k)` finds for the least k from `lower` on that finds
     one; smaller k are known to fail.  With a limit, returns None once the
-    minimum provably exceeds it."""
+    minimum provably exceeds it; k = n always finds one."""
     for k in range(lower, (n if limit is None else min(limit, n)) + 1):
         found = attempt(k)
         if found is not None:
             return found
-    if limit is not None:
-        return None
-    raise AssertionError("unreachable")
+    return None
 
 
 def _hitting_set(
@@ -333,7 +331,7 @@ def degree3_decomposition(g: Graph) -> Tuple[Set[int], List[PathComponent]]:
     """Vertices of degree >= 3 plus the maximal paths of the rest.
 
     Requires a connected graph that is not a cycle; every component of G-S is
-    then an induced path.
+    then an induced path (a cycle component would be all of G).
     """
     if g.n == 0:
         raise InputError("empty graph")
@@ -348,8 +346,6 @@ def degree3_decomposition(g: Graph) -> Tuple[Set[int], List[PathComponent]]:
     for comp in connected_components(g, rest):
         inside = set(comp)
         ends = [v for v in comp if sum(1 for w in g.adjacency[v] if w in inside) <= 1]
-        if not ends:
-            raise InputError("cycle component in G-S; input is not as expected")
         start = min(ends)
         ordered = [start]
         prev = None
@@ -372,11 +368,8 @@ def validate_clique_cover(g: Graph, cliques: Sequence[Sequence[int]], mode: str)
     if mode not in ("vertex-partition", "edge-cover"):
         raise InputError(f"unknown mode {mode!r}")
     for c in cliques:
-        if len(set(c)) != len(c):
-            return False
-        if any(not (0 <= v < g.n) for v in c):
-            return False
-        if not g.is_clique(c):
+        # `is_clique` is False for a family member that repeats a vertex.
+        if any(not (0 <= v < g.n) for v in c) or not g.is_clique(c):
             return False
     if mode == "vertex-partition":
         seen: Set[int] = set()

@@ -254,7 +254,6 @@ def _extract(
 ) -> Optional[List[int]]:
     """Bottom-up feasibility sets, then top-down vertex selection per tree."""
     g = inst.graph
-    motif = inst.motif
     n_groups = len(group_clique)
     neighbors: Dict[Group, List[Group]] = {x: [] for x in range(n_groups)}
     for a, b in ends.values():
@@ -295,23 +294,13 @@ def _extract(
             ]
             if not j_sets[x]:
                 return None
-        # Top-down selection.
+        # Top-down: a parent's set kept only vertices adjacent into each child's.
         chosen[root] = min(j_sets[root])
         for x in order[1:]:
-            p = chosen[parent[x]]
-            picks = [u for u in j_sets[x] if g.has_edge(p, u)]
-            if not picks:
-                return None
-            chosen[x] = min(picks)
+            chosen[x] = min(u for u in j_sets[x] if g.has_edge(chosen[parent[x]], u))
 
+    # The connectors fit the motif (`fix`) and the pool holds it (`_try_family`).
     connectors = sorted(set(chosen.values()))
-    used = Counter(inst.coloring[v] for v in connectors)
-    if any(cnt > motif.count(c) for c, cnt in used.items()):
-        return None
-    needed = motif.as_counter()
-    needed.subtract(used)
+    needed = inst.motif.as_counter() - Counter(inst.coloring[v] for v in connectors)
     pool = [v for i in family for v in cliques[i]]
-    completion = pick_by_colors(inst, +needed, pool, set(connectors))
-    if completion is None:
-        return None
-    return connectors + completion
+    return connectors + pick_by_colors(inst, needed, pool, set(connectors))

@@ -62,10 +62,8 @@ def _try_guess(
 
     comps = [frozenset(c) for c in connected_components(g, s_prime)]
     if len(comps) == 1:
-        completion = pick_by_colors(inst, remaining, avail, set())
-        if completion is None:
-            return None
-        return list(s_prime) + completion
+        # `avail` holds `remaining` of every color, checked above.
+        return list(s_prime) + pick_by_colors(inst, remaining, avail, set())
 
     # Candidate connectors per component subset are defined by adjacency.
     nbr_comps: Dict[int, FrozenSet[int]] = {}
@@ -153,13 +151,9 @@ def _realize(
     def backtrack(i: int, used: Counter) -> Optional[List[int]]:
         if i == l:
             chosen = _match_vertices(inst, candidates, assignment)
-            if chosen is None:
-                return None
-            still = Counter(remaining)
-            still.subtract(Counter(inst.coloring[v] for v in chosen))
-            completion = pick_by_colors(inst, +still, avail, set(chosen))
-            if completion is None:
-                return None
+            # The connectors are `avail` vertices within `remaining`.
+            still = remaining - Counter(inst.coloring[v] for v in chosen)
+            completion = pick_by_colors(inst, still, avail, set(chosen))
             return list(s_prime) + chosen + completion
         for c in sorted(slot_colors[i]):
             if used[c] < remaining[c]:
@@ -177,8 +171,10 @@ def _realize(
 
 def _match_vertices(
     inst: Instance, candidates: List[List[int]], colors: List[int]
-) -> Optional[List[int]]:
-    """Distinct vertices, one per slot, with the prescribed colors."""
+) -> List[int]:
+    """Distinct vertices, one per slot, with the prescribed colors.  If every
+    choice gave two slots one vertex, merging their blocks would give a
+    partition one block shorter, which an earlier level realized."""
     pool = sorted({v for cand in candidates for v in cand})
     index = {v: j for j, v in enumerate(pool)}
     edges = [
@@ -190,6 +186,4 @@ def _match_vertices(
     result = max_matching_with_cover(
         BipartiteGraph(len(candidates), len(pool), tuple(edges))
     )
-    if result.size < len(candidates):
-        return None
     return [pool[j] for _, j in sorted(result.matching)]

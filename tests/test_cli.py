@@ -1,6 +1,8 @@
+import contextlib
 import random
 from collections import Counter
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from motifkit.core import (
     InputError,
     Instance,
     Motif,
+    SolveOutcome,
     format_instance,
     verify_solution,
 )
@@ -150,6 +153,20 @@ class TestSolve:
                      "--vertex-clique-cover", str(vcc)]) == EXIT_YES
         assert main(["solve", yes_file, "--algo", "ecc",
                      "--edge-clique-cover", str(ecc)]) == EXIT_YES
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\n1 x\n", "bad cover line '1 x'"),
+            ("# none\n\n", "cover file lists no cliques"),
+        ],
+    )
+    def test_malformed_cover_file(self, yes_file, tmp_path, capsys, text, message):
+        cover = tmp_path / "cover.txt"
+        cover.write_text(text)
+        argv = ["solve", yes_file, "--algo", "vcc", "--vertex-clique-cover", str(cover)]
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_malformed_instance(self, tmp_path):
         p = tmp_path / "bad.gm"
@@ -336,6 +353,22 @@ class TestGenerateChain:
         code, _ = self.gen(tmp_path, "x3c-paths", "z 1\n")
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("# no instance\n", "source defines no instance"),
+            ("q 1\ns 0 1 2\nq 1\ns 0 1 2\n",
+             "x3c-paths takes exactly one source instance"),
+        ],
+    )
+    def test_x3c_source_needs_exactly_one_instance(
+        self, tmp_path, capsys, source, message
+    ):
+        code, out = self.gen(tmp_path, "x3c-paths", source)
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_certificate_on_the_output_file_is_refused(self, tmp_path, capsys):
         # Written last, the certificate would replace the instance.
         source = "q 2\ns 0 2 4\ns 0 1 3\ns 1 3 5\ns 1 4 5\n"
@@ -513,6 +546,49 @@ class TestBench:
         with pytest.raises(SystemExit) as exc:
             main(["bench", str(tmp_path), "--algo", "nope", "--timeout", "0"])
         assert exc.value.code == EXIT_PARSE
+
+    def test_disagreeing_solvers_are_marked_and_exit_1(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Cells run in this process, so that the patched solver is the one run.
+        monkeypatch.setattr(
+            cli, "ProcessPoolExecutor",
+            lambda max_workers: contextlib.nullcontext(SimpleNamespace(map=map)),
+        )
+        monkeypatch.setitem(cli.SOLVERS, "vc", lambda inst, structure: SolveOutcome.no())
+        (tmp_path / "a.gm").write_text(YES_TEXT)
+        (tmp_path / "b.gm").write_text(NO_TEXT)
+        code = main(["bench", str(tmp_path), "--algo", "brute", "vc", "--timeout", "30"])
+        assert code == EXIT_NO
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(r[0], r[1], r[2], r[4]) for r in rows] == [
+            ("a.gm", "brute", "YES", "differ"),
+            ("a.gm", "vc", "NO", "differ"),
+            ("b.gm", "brute", "NO", "agree"),
+            ("b.gm", "vc", "NO", "agree"),
+        ]
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "1e300"])
+    def test_timeout_the_timer_cannot_take_is_refused(
+        self, tmp_path, capsys, monkeypatch, timeout
+    ):
+        # Before, a worker raised from `setitimer` and the run ended in its traceback.
+        def no_workers(max_workers):
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_workers)
+        (tmp_path / "a.gm").write_text(YES_TEXT)
+        assert main(["bench", str(tmp_path), "--timeout", timeout]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"--timeout must be at most 1e9 seconds, not {float(timeout)}"
+        assert captured.err == f"error: {message}\n"
+
+    def test_negative_timeout_is_all_to(self, tmp_path, capsys):
+        (tmp_path / "a.gm").write_text(YES_TEXT)
+        assert main(["bench", str(tmp_path), "--timeout=-inf"]) == EXIT_YES
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert lines and all(" TO " in line for line in lines)
 
 
 class TestManyCallsInOneProcess:

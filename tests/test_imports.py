@@ -1,6 +1,7 @@
 """Every name a motifkit module imports is used in that module, every
 function, class and method the package defines is used somewhere in it, and
-the modules that build corpora do not load NumPy."""
+the modules that build corpora, and a solve that needs neither the block
+reader nor the set-cover DP, do not load NumPy."""
 
 import ast
 import os
@@ -141,3 +142,26 @@ def test_core_and_generators_do_not_load_numpy():
         check=True,
     )
     assert done.stdout == "False\n"
+
+
+def test_a_small_maxleaf_solve_does_not_load_numpy(tmp_path):
+    # A file below `BLOCK_READER_MIN_EDGES` edges goes to the line parser,
+    # and maxleaf runs no `csct` DP, the one other user of NumPy.
+    instance = tmp_path / "path.gm"
+    instance.write_text("p gm 3 2\ne 0 1\ne 1 2\nc 0 0\nc 1 1\nc 2 0\nm 0 1\nm 1 1\n")
+    code = (
+        "import sys\nfrom motifkit import cli\n"
+        "code = cli.main(['solve', sys.argv[1], '--algo', 'maxleaf'])\n"
+        "print(code, 'numpy' in sys.modules)"
+    )
+    path = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(instance)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "0 False"

@@ -1,4 +1,5 @@
 import contextlib
+import linecache
 import os
 import subprocess
 import sys
@@ -1107,3 +1108,157 @@ def test_maxleaf_decides_x3c_paths_q5_in_1gib():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "78 True True\n78 False False\n"
+
+
+def steps_taken(module, run):
+    """`run()`'s result and the steps it took in `module`'s file: each pair of
+    lines one frame executed in a row, as stripped source text.  A branch ran
+    when the step from its test line into its body is among them."""
+    path = module.__file__
+    steps = set()
+
+    def call(frame, event, arg):
+        if frame.f_code.co_filename != path:
+            return None
+        last = [None]
+
+        def line(frame, event, arg):
+            if event == "line":
+                text = linecache.getline(path, frame.f_lineno).strip()
+                steps.add((last[0], text))
+                last[0] = text
+            return line
+
+        return line
+
+    old = sys.gettrace()
+    sys.settrace(call)
+    try:
+        return run(), steps
+    finally:
+        sys.settrace(old)
+
+
+# (module, solver, instance, structure, step): live kernel branches that the
+# agreement properties seldom reach, each on an instance built to reach it.
+KERNEL_BRANCHES = {
+    # Cover {0, 1, 2}, all colour 1: the motif's five 1s force the guess of
+    # all three, three components.  Vertices 3 (colour 1) and 4 (colour 0)
+    # touch 0 and 1, vertex 5 (colour 0) touches 0 and 2.  On the blocks
+    # [{0, 1}, {2}] the first slot tries colour 0 first, which leaves the
+    # second slot none, and backtracks to colour 1.
+    "vc-colour-backtrack": (
+        vertex_cover,
+        solve_vertex_cover,
+        Instance(
+            Graph(7, [(0, 3), (1, 3), (0, 4), (1, 4), (0, 5), (2, 5), (1, 6)]),
+            (1, 1, 1, 1, 0, 0, 1),
+            Motif({1: 5, 0: 1}),
+        ),
+        {0, 1, 2},
+        ("if out is not None:", "assignment.pop()"),
+    ),
+    # The path 1-0-3-2-4 split into {1}, {4}, {0, 3}, {2}.  Where one vertex
+    # of {0, 3} ends both its tree edges, the edge to {1} fixes it to colour
+    # 3 and the edge {4}-{2} fixes {2} to colour 1: the edge {0, 3}-{2} has
+    # both ends fixed, to the pair (3, 1), which its colour graph lacks.
+    "vcc-both-ends-fixed-to-a-missing-pair": (
+        vertex_clique_cover,
+        solve_vertex_clique_cover,
+        Instance(
+            Graph(5, [(0, 1), (0, 3), (2, 3), (2, 4)]),
+            (3, 2, 1, 0, 0),
+            Motif({0: 2, 1: 1, 2: 1, 3: 1}),
+        ),
+        [[1], [4], [0, 3], [2]],
+        ("if (fixed[g0], fixed[g1]) not in pairs:", "return None"),
+    ),
+    # Three cliques, so an edge is abundant at 3 choices.  Once the end in
+    # {2} is fixed to colour 1, the end in {0, 1, 4} can take 0, 1 or 2.
+    "vcc-one-end-fixed-edge-is-abundant": (
+        vertex_clique_cover,
+        solve_vertex_clique_cover,
+        Instance(
+            Graph(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4)]),
+            (0, 2, 1, 0, 1),
+            Motif({0: 2, 1: 2, 2: 1}),
+        ),
+        [[0, 1, 4], [2], [3]],
+        ("if len(choices) >= abundance:",
+         "return search(fixed, resolved, abundant | {e})"),
+    ),
+    # The colour graph of {0, 1, 2}-{3, 4, 5, 6} is three disjoint pairs, so
+    # that edge is abundant and left open; the edge to {7} fixes the end in
+    # {3, 4, 5, 6} to colour 1.  No colour of {0, 1, 2} pairs with 1, so
+    # `assign` finds none for its group.
+    "vcc-assign-finds-no-colour": (
+        vertex_clique_cover,
+        solve_vertex_clique_cover,
+        Instance(
+            Graph(8, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (3, 6), (4, 5),
+                      (4, 6), (5, 6), (0, 5), (1, 4), (2, 6), (3, 7)]),
+            (3, 1, 2, 1, 2, 4, 0, 0),
+            Motif({0: 2, 1: 1, 2: 1, 3: 1, 4: 1}),
+        ),
+        [[0, 1, 2], [3, 4, 5, 6], [7]],
+        ("for c in sorted({inst.coloring[v] for v in clique}):", "return None"),
+    ),
+    # The cliques {0, 1}, {1, 2, 3} and {2, 4} chain through 1 and 2, both
+    # colour 0, and the motif has one 0: all three together hold the motif's
+    # colours, but the vc kernel finds no connected solution in them.
+    "ecc-vc-kernel-answers-no": (
+        edge_clique_cover,
+        solve_edge_clique_cover,
+        Instance(
+            Graph(5, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4)]),
+            (1, 0, 0, 1, 1),
+            Motif({0: 1, 1: 3}),
+        ),
+        [[0, 1], [1, 2, 3], [2, 4]],
+        ("if found is None:", "return None"),
+    ),
+}
+
+
+@st.composite
+def relabelled_branches(draw):
+    """A `KERNEL_BRANCHES` case with its vertices, its colours and the order
+    of its cliques permuted: instances next to the branch, most of which
+    still reach it."""
+    name = draw(st.sampled_from(sorted(KERNEL_BRANCHES)))
+    _, solve, inst, structure, _ = KERNEL_BRANCHES[name]
+    n = inst.graph.n
+    vertex = draw(st.permutations(range(n)))
+    colors = sorted(set(inst.coloring))
+    color = dict(zip(colors, draw(st.permutations(colors))))
+    coloring = [0] * n
+    for v, c in enumerate(inst.coloring):
+        coloring[vertex[v]] = color[c]
+    relabelled = Instance(
+        Graph(n, [(vertex[u], vertex[v]) for u, v in inst.graph.edges()]),
+        tuple(coloring),
+        Motif({color[c]: m for c, m in inst.motif.multiplicities.items()}),
+    )
+    if isinstance(structure, set):
+        return solve, relabelled, {vertex[v] for v in structure}
+    cliques = [sorted(vertex[v] for v in clique) for clique in structure]
+    order = draw(st.permutations(range(len(cliques))))
+    return solve, relabelled, [cliques[i] for i in order]
+
+
+class TestKernelBranches:
+    @pytest.mark.parametrize("case", sorted(KERNEL_BRANCHES))
+    def test_branch_runs_and_matches_brute(self, case):
+        module, solve, inst, structure, step = KERNEL_BRANCHES[case]
+        out, steps = steps_taken(module, lambda: solve(inst, structure))
+        assert step in steps
+        assert out.is_yes == solve_brute(inst).is_yes
+        assert not out.is_yes or verify_solution(inst, out.witness)
+
+    @given(relabelled_branches())
+    @settings(max_examples=100, deadline=None)
+    def test_relabelled_branch_instances_match_brute(self, case):
+        solve, inst, structure = case
+        out = solve(inst, structure)
+        assert out.is_yes == solve_brute(inst).is_yes
+        assert not out.is_yes or verify_solution(inst, out.witness)
