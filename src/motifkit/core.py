@@ -270,12 +270,10 @@ def connected_components(g: Graph, s: Iterable[int]) -> List[List[int]]:
 
 # `parse_instance` tries `_read_blocks` on files whose header promises at
 # least this many edges.  Below it the reader's fixed NumPy cost, about
-# 0.2 ms, outweighs what it saves: the line parser takes 0.1 ms at 28 edges
-# and 0.55 ms at 300, the block reader 0.2 and 0.3 ms.
+# 0.1 ms, outweighs what it saves: best of 300 runs, the line parser takes
+# 0.07, 0.11 and 0.25 ms at 28, 100 and 300 edges, the reader 0.10, 0.10
+# and 0.11 ms.
 BLOCK_READER_MIN_EDGES = 100
-
-# Maps the record tags to spaces, leaving only the integers of a block body.
-_BLANK_TAGS = bytes.maketrans(b"ecm", b"   ")
 
 
 def parse_instance(text: str) -> Instance:
@@ -291,7 +289,7 @@ def parse_instance(text: str) -> Instance:
 def _read_blocks(
     text: str, min_edges: int = BLOCK_READER_MIN_EDGES
 ) -> Optional[Instance]:
-    """The instance in `text`, read a block at a time with NumPy, or None.
+    """The instance in `text`, read with NumPy from its separators, or None.
 
     Reads only the layout `format_instance` writes: `#` lines, the header,
     then the `e`, `c` and `m` blocks in that order, one record of at most
@@ -328,50 +326,57 @@ def _read_blocks(
     body = text[end + 1 :].encode()
     if not body.endswith(b"\n"):
         body += b"\n"
-    if (
-        body.translate(None, b"0123456789 \necm")
-        or b"  " in body
-        or b" \n" in body
-        or len(body) - len(body.translate(None, b"ecm")) != body.count(b"\n")
-    ):
-        return None
-    # Each line starts with its tag, the only letter on it, and has two
-    # spaces, neither next to the other nor at its end: so at least two
-    # integers follow the tag, and the count of all of them rules out a third.
+    # One scan finds every byte up to 0x20: on each line they must be two
+    # spaces and the newline, in that order.  Every other byte but the tags
+    # must then be a digit, which one count settles.
     b = np.frombuffer(body, dtype=np.uint8)
-    ends = np.flatnonzero(b == 10)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    records = len(ends)
-    kinds = b[starts]
-    ne, nc, nm = (int(np.count_nonzero(kinds == ord(t))) for t in "ecm")
+    sep = np.flatnonzero(b <= 32)
+    records = len(sep) // 3
     if (
-        (ne, nc) != (m, n)
-        or nm == 0
-        or ne + nc + nm != records
-        or (kinds[:ne] != ord("e")).any()
-        or (kinds[ne : ne + nc] != ord("c")).any()
-        or (np.add.reduceat(b == 32, starts, dtype=np.intp) != 2).any()
-        # At most 22 bytes, so neither integer has more than 18 digits.
-        or (ends - starts > 22).any()
+        b[sep].tobytes() != b"  \n" * records
+        or np.count_nonzero(b - 48 < 10) != len(body) - 4 * records
     ):
         return None
-    values = np.fromstring(body.translate(_BLANK_TAGS), dtype=np.int64, sep=" ")
-    if values.size != 2 * records:
+    # Per line: first space, second space, newline.  Each line's tag is the
+    # byte before its first space, right after the previous line's newline.
+    sep = sep.reshape(records, 3).T.copy()
+    widths = sep[1:] - sep[:2] - 1
+    kinds = b[sep[0] - 1]
+    if (
+        records <= m + n
+        or (kinds[:m] != ord("e")).any()
+        or (kinds[m : m + n] != ord("c")).any()
+        or (kinds[m + n :] != ord("m")).any()
+        or sep[0, 0] != 1
+        or (sep[0, 1:] - sep[2, :-1] != 2).any()
+        or (widths == 0).any()
+        # At most 22 bytes, so neither integer has more than 18 digits.
+        or (sep[2] - sep[0] > 21).any()
+    ):
         return None
-    e_rec, c_rec, m_rec = np.split(values.reshape(records, 2), [ne, ne + nc])
-    u, v = e_rec.T
+    # Both integers of every line, read leftwards: `last`, a view of `sep`,
+    # steps back from the separator after each; `widths > k` masks the rest.
+    last, values = sep[1:], np.zeros((2, records), np.int64)
+    for k in range(int(widths.max())):
+        last -= 1
+        digits = b[last] - 48
+        digits *= widths > k
+        values += np.multiply(digits, 10**k, dtype=np.int64)
+    e_rec, c_rec, m_rec = np.split(values, [m, m + n], axis=1)
+    u, v = e_rec
     if (
         (e_rec >= n).any()
         or (u == v).any()
-        or (c_rec[:, 0] >= n).any()
-        or not (np.bincount(c_rec[:, 0], minlength=n) == 1).all()
-        or (m_rec[:, 1] < 1).any()
+        or (c_rec[0] >= n).any()
+        or not (np.bincount(c_rec[0], minlength=n) == 1).all()
+        or (m_rec[1] < 1).any()
     ):
         return None
-    colors, mults = dict(c_rec.tolist()), dict(m_rec.tolist())
-    if len(mults) != nm:
+    colors, mults = dict(c_rec.T.tolist()), dict(m_rec.T.tolist())
+    if len(mults) != records - m - n:
         return None
-
+    # The scan's arrays go first: they would add to the peak of the rows.
+    del body, b, sep, widths, kinds, last
     # Both directions of every edge as one sorted, duplicate-free key list.
     keys = np.concatenate((u * n + v, v * n + u))
     keys.sort()
@@ -448,13 +453,17 @@ def _dense_colors(
 
 def format_instance(inst: Instance, comment: str = "") -> str:
     """Serialize an instance in the canonical format."""
-    lines = []
-    if comment:
-        lines.extend(f"# {line}" for line in comment.splitlines())
-    edges = inst.graph.edges()
-    lines.append(f"p gm {inst.graph.n} {len(edges)}")
-    lines.extend(f"e {u} {v}" for u, v in edges)
-    lines.extend(f"c {v} {inst.coloring[v]}" for v in range(inst.graph.n))
+    g = inst.graph
+    names = [str(v) for v in range(g.n)]
+    lines = [f"# {line}" for line in comment.splitlines()]
+    lines.append(f"p gm {g.n} {g.num_edges()}")
+    # One string per row: its edges to the neighbours above u, `e u v` each.
+    for u, row in enumerate(g.adjacency):
+        above = row[bisect_left(row, u) :]
+        if above:
+            prefix = f"e {u} "
+            lines.append(prefix + ("\n" + prefix).join(map(names.__getitem__, above)))
+    lines.extend(f"c {v} {inst.coloring[v]}" for v in range(g.n))
     lines.extend(
         f"m {c} {mult}" for c, mult in sorted(inst.motif.multiplicities.items())
     )

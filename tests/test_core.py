@@ -23,7 +23,12 @@ from motifkit.core import (
     _parse_lines,
     _read_blocks,
 )
-from motifkit.generators import X3cInstance, gen_x3c_paths
+from motifkit.generators import (
+    SetSystem,
+    X3cInstance,
+    gen_hitting_set_split,
+    gen_x3c_paths,
+)
 from oracles import components_oracle
 
 
@@ -266,6 +271,17 @@ MALFORMED = {
 }
 
 
+def format_per_edge(inst, comment=""):
+    """The instance format written one `e` line per edge of `Graph.edges()`."""
+    lines = [f"# {line}" for line in comment.splitlines()]
+    edges = inst.graph.edges()
+    lines.append(f"p gm {inst.graph.n} {len(edges)}")
+    lines.extend(f"e {u} {v}" for u, v in edges)
+    lines.extend(f"c {v} {inst.coloring[v]}" for v in range(inst.graph.n))
+    lines.extend(f"m {c} {k}" for c, k in sorted(inst.motif.multiplicities.items()))
+    return "\n".join(lines) + "\n"
+
+
 class TestFileFormat:
     def test_round_trip(self):
         inst = Instance(
@@ -305,6 +321,16 @@ class TestFileFormat:
         with pytest.raises(InputError):
             parse_instance(f"p gm 1000000000 {BLOCK_READER_MIN_EDGES}\n{edges}c 0 0\n")
         assert time.perf_counter() - start < 0.5
+
+    @given(instances(), st.sampled_from(["", "one line", "two\nlines"]))
+    def test_format_matches_per_edge_formatter(self, inst, comment):
+        assert format_instance(inst, comment) == format_per_edge(inst, comment)
+
+    def test_format_matches_per_edge_formatter_on_clique_hs(self):
+        sets = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11),
+                (0, 3, 6), (1, 4, 9), (2, 7, 10), (5, 8, 11)]
+        inst = gen_hitting_set_split(SetSystem(24, tuple(sets), 4)).instance
+        assert format_instance(inst, "clique-hs") == format_per_edge(inst, "clique-hs")
 
     def test_witness_round_trip(self):
         assert parse_witness(format_witness([3, 1, 2])) == [1, 2, 3]
@@ -413,6 +439,34 @@ class TestBlockReader:
     @pytest.mark.parametrize("text", list(MALFORMED))
     def test_declines_malformed(self, text):
         check_block_reader(text)
+
+    # What the separator scan and the checks on its offsets must decline:
+    # a NUL and a unit separator in place of a space, three spaces on one
+    # line and one on the next (the same count in all), a form feed before
+    # a newline; a `c` tag in the edge block and an `m` tag in the colour
+    # block, every count as in a valid file; a digit before the tag, on the
+    # first line and on a later one; an empty field, which must not be read
+    # as 0, nor as its space's byte (32 - 48 mod 256 = 240, a vertex here);
+    # a 19-digit vertex, past what an int64 holds, on a 23-byte line.
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p gm 2 1\ne 0\x001\nc 0 0\nc 1 1\nm 0 1\nm 1 1\n",
+            "p gm 2 1\ne 0\x1f1\nc 0 0\nc 1 1\nm 0 1\nm 1 1\n",
+            "p gm 2 1\ne 0 1\nc 0 0 1\nc 11\nm 0 1\nm 1 1\n",
+            "p gm 2 1\ne 0 1\f\nc 0 0\nc 1 1\nm 0 1\nm 1 1\n",
+            "p gm 2 1\nc 0 1\nc 0 0\nc 1 1\nm 0 1\n",
+            "p gm 2 1\ne 0 1\nc 0 0\nm 1 1\nm 0 1\n",
+            "p gm 2 1\n0e 0 1\nc 0 0\nc 1 1\nm 0 1\n",
+            "p gm 2 1\ne 0 1\n0c 0 0\nc 1 1\nm 0 1\n",
+            "p gm 2 1\ne 0 1\nc  1\nc 1 1\nm 1 1\n",
+            "p gm 2 1\ne 0 1\nc 0 0\nc 1 \nm 0 1\n",
+            "p gm 241 0\n" + "".join(f"c {v} 0\n" for v in range(240)) + "c  0\nm 0 1\n",
+            "p gm 2 1\ne 9999999999999999999 1\nc 0 0\nc 1 1\nm 0 1\nm 1 1\n",
+        ],
+    )
+    def test_declines_other_separators_tags_and_empty_fields(self, text):
+        assert check_block_reader(text) is None
 
     def test_reads_duplicate_edges_once(self):
         text = "p gm 2 3\ne 0 1\ne 1 0\ne 0 1\nc 0 0\nc 1 5\nm 5 1\nm 0 1\n"
