@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib
 import os
 import signal
 import sys
@@ -26,6 +27,7 @@ from .core import (
     format_instance,
     format_witness,
     parse_instance,
+    parse_reduced,
     parse_witness,
     witness_failure,
 )
@@ -181,8 +183,14 @@ def _auto_pick(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    inst = parse_instance(_read_text(args.instance))
+    text = _read_text(args.instance)
     covers = _read_covers(args)
+    # A cover names input ids, so a solve given one reads the whole graph.
+    if covers:
+        inst = parse_instance(text)
+        ids = range(inst.graph.n)
+    else:
+        inst, ids = parse_reduced(text)
     # Checked here too, so that an invalid cover fails whatever `auto` picks.
     for algo, mode, name in (("vcc", "vertex-partition", "a vertex clique partition"),
                              ("ecc", "edge-cover", "an edge clique cover")):
@@ -199,7 +207,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     outcome = SOLVERS[algo](inst, structure)
     if outcome.is_yes:
         print("YES")
-        print(format_witness(outcome.witness), end="")
+        print(format_witness(map(ids.__getitem__, outcome.witness)), end="")
         return EXIT_YES
     print("NO")
     return EXIT_NO
@@ -398,13 +406,17 @@ def cmd_params(args: argparse.Namespace) -> int:
 
 
 def _bench_cell(job: Tuple[str, str, float]) -> Tuple[str, str, str, float, str]:
-    """(file, algo, answer, seconds, parse error); the answer is `ERR`, with
-    the parser's message, when the file does not parse."""
+    """(file, algo, answer, seconds, error); the answer is `ERR`, with the
+    parser's message, when the file does not parse, and with the exception,
+    when the solver raises one other than a timeout or a `CapacityError`."""
     path, algo, timeout = job
     try:
-        inst = parse_instance(_read_text(path))
+        inst, _ = parse_reduced(_read_text(path))
     except InputError as exc:
         return path, algo, "ERR", 0.0, str(exc)
+    # Loaded before the timer is armed: an alarm inside NumPy's first import
+    # leaves it half-loaded, and every later import of it in this process fails.
+    importlib.import_module("numpy")
     structure: Structure = None
     if algo == "vcc":
         structure = greedy_vertex_clique_cover(inst.graph)
@@ -417,7 +429,7 @@ def _bench_cell(job: Tuple[str, str, float]) -> Tuple[str, str, str, float, str]
 
     old = signal.signal(signal.SIGALRM, on_alarm)
     signal.setitimer(signal.ITIMER_REAL, timeout)
-    start = time.perf_counter()
+    start, error = time.perf_counter(), ""
     try:
         outcome = SOLVERS[algo](inst, structure)
         answer = "YES" if outcome.is_yes else "NO"
@@ -425,10 +437,12 @@ def _bench_cell(job: Tuple[str, str, float]) -> Tuple[str, str, str, float, str]
         answer = "TO"
     except CapacityError:
         answer = "CAP"
+    except Exception as exc:  # noqa: BLE001 - it fails this cell, not the run
+        answer, error = "ERR", f"{algo}: {type(exc).__name__}: {exc}"
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
-    return path, algo, answer, time.perf_counter() - start, ""
+    return path, algo, answer, time.perf_counter() - start, error
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -442,7 +456,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     algos = args.algo
     jobs = [(path, algo, args.timeout) for path in paths for algo in algos]
     results: Dict[Tuple[str, str], Tuple[str, float]] = {}
-    errors: Dict[str, str] = {}
+    errors: Dict[str, None] = {}  # each message once, in order
     if args.timeout <= 0:
         for path, algo, _ in jobs:
             results[(path, algo)] = ("TO", 0.0)
@@ -452,9 +466,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for path, algo, answer, seconds, error in pool.map(_bench_cell, jobs):
                 results[(path, algo)] = (answer, seconds)
                 if error:
-                    errors[path] = error
-    for path, error in errors.items():
-        print(f"error: {path}: {error}", file=sys.stderr)
+                    errors[f"{path}: {error}"] = None
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
 
     disagreement = False
     print(f"{'instance':<28} {'algo':<12} {'answer':<6} {'time':>8}  agreement")

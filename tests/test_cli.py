@@ -1,7 +1,11 @@
 import contextlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -589,6 +593,84 @@ class TestBench:
         assert main(["bench", str(tmp_path), "--timeout=-inf"]) == EXIT_YES
         lines = capsys.readouterr().out.splitlines()[1:]
         assert lines and all(" TO " in line for line in lines)
+
+
+    def test_a_cell_that_raises_is_err_not_fatal(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "ProcessPoolExecutor",
+            lambda max_workers: contextlib.nullcontext(SimpleNamespace(map=map)),
+        )
+
+        def broken(inst, structure):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli.SOLVERS, "vc", broken)
+        (tmp_path / "a.gm").write_text(YES_TEXT)
+        (tmp_path / "b.gm").write_text(NO_TEXT)
+        code = main(["bench", str(tmp_path), "--algo", "brute", "vc", "--timeout", "30"])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        rows = [line.split() for line in captured.out.splitlines()[1:]]
+        assert [(r[0], r[1], r[2], r[4]) for r in rows] == [
+            ("a.gm", "brute", "YES", "agree"),
+            ("a.gm", "vc", "ERR", "agree"),
+            ("b.gm", "brute", "NO", "agree"),
+            ("b.gm", "vc", "ERR", "agree"),
+        ]
+        assert captured.err.splitlines() == [
+            f"error: {tmp_path / name}: vc: RuntimeError: boom" for name in ("a.gm", "b.gm")
+        ]
+
+    def test_no_alarm_lands_in_the_first_import_of_numpy(self, tmp_path):
+        # In a fresh process, NumPy's first import sleeps past each cell's
+        # timeout, and a second try fails as NumPy's own does once an import
+        # was cut short.  Every cell reaches the set-cover DP, which imports
+        # NumPy, and the files are too small for the block reader to load it.
+        inst = gen_set_cover_split(SetSystem(4, ((0, 1), (1, 2), (2, 3)), 2)).instance
+        for name in ("a", "b", "c"):
+            (tmp_path / f"{name}.gm").write_text(format_instance(inst))
+        code = """
+import contextlib, importlib.abc, importlib.machinery, sys, time
+from types import SimpleNamespace
+from motifkit import cli
+
+class SlowNumpy(importlib.abc.MetaPathFinder):
+    started = False
+
+    def find_spec(self, name, path, target=None):
+        if name != "numpy":
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(name, path)
+        load = spec.loader.exec_module
+
+        def exec_module(module):
+            if SlowNumpy.started:
+                raise ImportError("cannot load module more than once per process")
+            SlowNumpy.started = True
+            time.sleep(1.0)
+            load(module)
+
+        spec.loader.exec_module = exec_module
+        return spec
+
+sys.meta_path.insert(0, SlowNumpy())
+cli.ProcessPoolExecutor = lambda max_workers: contextlib.nullcontext(
+    SimpleNamespace(map=map))
+code = cli.main(["bench", sys.argv[1], "--algo", "dist-clique", "--timeout", "0.3"])
+print(code, "numpy" in sys.modules)
+"""
+        path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parent.parent),
+                                             os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        lines = done.stdout.splitlines()
+        assert [line.split()[2] for line in lines[1:-1]] == ["YES"] * 3, done.stderr
+        assert lines[-1] == "0 True"
 
 
 class TestManyCallsInOneProcess:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motifkit import core
 from motifkit.core import (
     BLOCK_READER_MIN_EDGES,
     Graph,
@@ -15,6 +16,7 @@ from motifkit.core import (
     format_instance,
     format_witness,
     parse_instance,
+    parse_reduced,
     parse_witness,
     prune_wrong_colors,
     restrict,
@@ -23,12 +25,19 @@ from motifkit.core import (
     _parse_lines,
     _read_blocks,
 )
+from motifkit.estimators import (
+    degree3_vertices,
+    dist_to_clique_set,
+    dist_to_co_cluster_set,
+    min_vertex_cover,
+)
 from motifkit.generators import (
     SetSystem,
     X3cInstance,
     gen_hitting_set_split,
     gen_x3c_paths,
 )
+from motifkit.solvers import solve_brute
 from oracles import components_oracle
 
 
@@ -477,3 +486,92 @@ class TestBlockReader:
         text = format_instance(Instance(Graph(2, [(0, 1)]), (0, 0), Motif({0: 2})))
         assert _read_blocks(text) is None
         assert _read_blocks(text, min_edges=1) is not None
+
+
+@st.composite
+def instances_with_twins(draw, max_n=6, max_twins=6):
+    """A small instance, then copies of its vertices: each new vertex takes
+    the colour and the neighbourhood N(v) (a false twin) or N[v] (a true
+    twin) of a vertex v before it."""
+    inst = draw(instances(max_n))
+    edges, coloring = set(inst.graph.edges()), list(inst.coloring)
+    for _ in range(draw(st.integers(0, max_twins))):
+        n = len(coloring)
+        v = draw(st.integers(0, n - 1))
+        like = {w for e in edges if v in e for w in e if w != v}
+        if draw(st.booleans()):
+            like.add(v)
+        edges |= {(w, n) for w in like}
+        coloring.append(coloring[v])
+    return Instance(Graph(len(coloring), edges), tuple(coloring), inst.motif)
+
+
+def exact_twins(g, u, v):
+    n_u, n_v = set(g.adjacency[u]), set(g.adjacency[v])
+    return n_u == n_v or n_u | {u} == n_v | {v}
+
+
+def check_twin_reduction(inst):
+    """`parse_reduced` keeps an induced sub-instance with the same answer,
+    whose witness verifies on the whole, and drops only off-colour vertices
+    and vertices with at least m_c kept exact twins of their colour."""
+    text = format_instance(inst)
+    reduced, ids = parse_reduced(text, min_edges=0)
+    whole = parse_instance(text)
+    assert ids == sorted(set(ids)) and reduced == restrict(whole, ids)[0]
+    g, kept = whole.graph, set(ids)
+    for v in set(range(g.n)) - kept:
+        m_c = whole.motif.count(whole.coloring[v])
+        twins = [w for w in kept if whole.coloring[w] == whole.coloring[v]
+                 and exact_twins(g, v, w)]
+        assert len(twins) >= m_c
+    want, got = solve_brute(whole), solve_brute(reduced)
+    assert got.is_yes == want.is_yes
+    if got.is_yes:
+        assert verify_solution(whole, [ids[v] for v in got.witness])
+    return reduced, ids
+
+
+class TestTwinReduction:
+    @settings(max_examples=300, deadline=None)
+    @given(instances_with_twins())
+    def test_answer_and_lifted_witness_match_the_whole_instance(self, inst):
+        check_twin_reduction(inst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(instances_with_twins())
+    def test_a_hash_collision_drops_only_exact_twins(self, inst):
+        # Every vertex weighs the same: each class of one colour and degree
+        # collides, and only the exact check tells twins apart.
+        weights = core._twin_weights
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_twin_weights", lambda np, n: weights(np, n) * 0 + 1)
+            check_twin_reduction(inst)
+
+    @pytest.mark.parametrize("true_twins", [False, True])
+    @pytest.mark.parametrize("k, m_c", [(1, 1), (3, 1), (4, 2), (2, 3), (5, 5)])
+    def test_a_class_of_k_twins_keeps_its_m_c_lowest_ids(self, true_twins, k, m_c):
+        # Vertices 0..k-1 of colour 0 all see the hub k, of colour 1; with
+        # `true_twins` they form a clique as well.
+        edges = [(v, k) for v in range(k)]
+        if true_twins:
+            edges += [(u, v) for u in range(k) for v in range(u + 1, k)]
+        inst = Instance(Graph(k + 1, edges), (0,) * k + (1,), Motif({0: m_c, 1: 1}))
+        _, ids = check_twin_reduction(inst)
+        assert ids == [*range(min(k, m_c)), k]
+
+    def test_off_colour_vertices_go_and_the_line_parser_keeps_all(self):
+        inst = Instance(Graph(3, [(0, 1), (1, 2)]), (0, 1, 2), Motif({0: 1, 1: 1}))
+        text = format_instance(inst)
+        assert parse_reduced(text, min_edges=0)[1] == [0, 1]
+        assert parse_reduced(text) == (parse_instance(text), [0, 1, 2])
+
+    @settings(max_examples=150, deadline=None)
+    @given(instances_with_twins(max_n=5, max_twins=5))
+    def test_no_parameter_grows(self, inst):
+        reduced, _ = parse_reduced(format_instance(inst), min_edges=0)
+        g, h = inst.graph, reduced.graph
+        for estimate in (min_vertex_cover, dist_to_clique_set, dist_to_co_cluster_set):
+            assert len(estimate(h)) <= len(estimate(g))
+        assert len(degree3_vertices(h)) <= len(degree3_vertices(g))
+
