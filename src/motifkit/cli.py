@@ -184,13 +184,13 @@ def _auto_pick(
 
 def cmd_solve(args: argparse.Namespace) -> int:
     text = _read_text(args.instance)
-    covers = _read_covers(args)
     # A cover names input ids, so a solve given one reads the whole graph.
-    if covers:
+    if args.vertex_clique_cover or args.edge_clique_cover:
         inst = parse_instance(text)
-        ids = range(inst.graph.n)
+        ids: Sequence[int] = range(inst.graph.n)
     else:
         inst, ids = parse_reduced(text)
+    covers = _read_covers(args)
     # Checked here too, so that an invalid cover fails whatever `auto` picks.
     for algo, mode, name in (("vcc", "vertex-partition", "a vertex clique partition"),
                              ("ecc", "edge-cover", "an edge clique cover")):

@@ -177,6 +177,14 @@ class TestSolve:
         p.write_text("p gm 1 0\nm 0 1\n")
         assert main(["solve", str(p)]) == EXIT_PARSE
 
+    def test_the_instance_is_read_before_its_cover(self, tmp_path, capsys):
+        p = tmp_path / "bad.gm"
+        p.write_text("p gm 1 0\nm 0 1\n")
+        missing = str(tmp_path / "missing.txt")
+        want = main(["solve", str(p)]), capsys.readouterr().err
+        argv = ["solve", str(p), "--algo", "vcc", "--vertex-clique-cover", missing]
+        assert (main(argv), capsys.readouterr().err) == want
+
     def test_missing_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.gm")]) == EXIT_PARSE
 

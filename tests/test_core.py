@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motifkit import core
+from motifkit import core, twins
 from motifkit.core import (
     BLOCK_READER_MIN_EDGES,
     Graph,
@@ -512,19 +512,20 @@ def exact_twins(g, u, v):
 
 
 def check_twin_reduction(inst):
-    """`parse_reduced` keeps an induced sub-instance with the same answer,
-    whose witness verifies on the whole, and drops only off-colour vertices
-    and vertices with at least m_c kept exact twins of their colour."""
+    """The reducing block reader keeps an induced sub-instance with the same
+    answer, whose witness verifies on the whole, and drops only off-colour
+    vertices and vertices with at least m_c kept exact twins of their
+    colour."""
     text = format_instance(inst)
-    reduced, ids = parse_reduced(text, min_edges=0)
+    reduced, ids = core._read_kept(text, 0, 0)
     whole = parse_instance(text)
-    assert ids == sorted(set(ids)) and reduced == restrict(whole, ids)[0]
+    assert list(ids) == sorted(set(ids)) and reduced == restrict(whole, ids)[0]
     g, kept = whole.graph, set(ids)
     for v in set(range(g.n)) - kept:
         m_c = whole.motif.count(whole.coloring[v])
-        twins = [w for w in kept if whole.coloring[w] == whole.coloring[v]
-                 and exact_twins(g, v, w)]
-        assert len(twins) >= m_c
+        kept_twins = [w for w in kept if whole.coloring[w] == whole.coloring[v]
+                      and exact_twins(g, v, w)]
+        assert len(kept_twins) >= m_c
     want, got = solve_brute(whole), solve_brute(reduced)
     assert got.is_yes == want.is_yes
     if got.is_yes:
@@ -543,9 +544,9 @@ class TestTwinReduction:
     def test_a_hash_collision_drops_only_exact_twins(self, inst):
         # Every vertex weighs the same: each class of one colour and degree
         # collides, and only the exact check tells twins apart.
-        weights = core._twin_weights
+        weights = twins.weights
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(core, "_twin_weights", lambda np, n: weights(np, n) * 0 + 1)
+            patch.setattr(twins, "weights", lambda n: weights(n) * 0 + 1)
             check_twin_reduction(inst)
 
     @pytest.mark.parametrize("true_twins", [False, True])
@@ -558,18 +559,18 @@ class TestTwinReduction:
             edges += [(u, v) for u in range(k) for v in range(u + 1, k)]
         inst = Instance(Graph(k + 1, edges), (0,) * k + (1,), Motif({0: m_c, 1: 1}))
         _, ids = check_twin_reduction(inst)
-        assert ids == [*range(min(k, m_c)), k]
+        assert list(ids) == [*range(min(k, m_c)), k]
 
     def test_off_colour_vertices_go_and_the_line_parser_keeps_all(self):
         inst = Instance(Graph(3, [(0, 1), (1, 2)]), (0, 1, 2), Motif({0: 1, 1: 1}))
         text = format_instance(inst)
-        assert parse_reduced(text, min_edges=0)[1] == [0, 1]
-        assert parse_reduced(text) == (parse_instance(text), [0, 1, 2])
+        assert core._read_kept(text, 0, 0)[1] == [0, 1]
+        assert parse_reduced(text) == (parse_instance(text), range(3))
 
     @settings(max_examples=150, deadline=None)
     @given(instances_with_twins(max_n=5, max_twins=5))
     def test_no_parameter_grows(self, inst):
-        reduced, _ = parse_reduced(format_instance(inst), min_edges=0)
+        reduced, _ = core._read_kept(format_instance(inst), 0, 0)
         g, h = inst.graph, reduced.graph
         for estimate in (min_vertex_cover, dist_to_clique_set, dist_to_co_cluster_set):
             assert len(estimate(h)) <= len(estimate(g))
