@@ -268,11 +268,11 @@ def connected_components(g: Graph, s: Iterable[int]) -> List[List[int]]:
     return comps
 
 
-# `parse_instance` tries `_read_blocks` on files whose header promises at
-# least this many edges.  Below it the reader's fixed NumPy cost, about
-# 0.1 ms, outweighs what it saves: best of 300 runs, the line parser takes
-# 0.07, 0.11 and 0.25 ms at 28, 100 and 300 edges, the reader 0.10, 0.10
-# and 0.11 ms.
+# `parse_instance` tries the block reader, `_read_kept`, on files whose
+# header promises at least this many edges.  Below it the reader's fixed
+# NumPy cost, about 0.1 ms, outweighs what it saves: best of 300 runs, the
+# line parser takes 0.07, 0.11 and 0.25 ms at 28, 100 and 300 edges, the
+# reader 0.10, 0.10 and 0.11 ms.
 BLOCK_READER_MIN_EDGES = 100
 
 # `parse_reduced` looks for twins in files whose header promises at least
@@ -291,7 +291,8 @@ def parse_instance(text: str) -> Instance:
     `m <color> <mult>` lines; `#` starts a comment.  Sparse external color
     ids are re-mapped to dense 0-based ids.
     """
-    return _read_blocks(text) or _parse_lines(text)
+    read = _read_kept(text, search_twins=False)
+    return read[0] if read else _parse_lines(text)
 
 
 def parse_reduced(text: str) -> Tuple[Instance, Sequence[int]]:
@@ -310,35 +311,28 @@ def parse_reduced(text: str) -> Tuple[Instance, Sequence[int]]:
     block reader declines, is read whole, as `parse_instance` reads it, with
     `range(n)` as its `ids`.
     """
-    read = _read_kept(text, BLOCK_READER_MIN_EDGES, TWIN_READER_MIN_EDGES)
+    read = _read_kept(text, search_twins=True)
     if read is None:
         inst = _parse_lines(text)
         return inst, range(inst.graph.n)
     return read
 
 
-def _read_blocks(
-    text: str, min_edges: int = BLOCK_READER_MIN_EDGES
-) -> Optional[Instance]:
-    """The whole instance in `text`, read by the block reader, or None."""
-    read = _read_kept(text, min_edges, None)
-    return read and read[0]
-
-
 def _read_kept(
-    text: str, min_edges: int, twin_edges: Optional[int]
+    text: str, search_twins: bool
 ) -> Optional[Tuple[Instance, Sequence[int]]]:
     """The instance in `text`, read with NumPy from its separators, and the
     ids of the vertices it keeps (`restrict`'s), or None.  It keeps what
-    `twins.twins_kept` keeps if the header promises at least `twin_edges`
-    edges, else every vertex; the ids are `range(n)` when it keeps all.
+    `twins.twins_kept` keeps if `search_twins` is set and the header
+    promises at least `TWIN_READER_MIN_EDGES` edges, else every vertex; the
+    ids are `range(n)` when it keeps all.
 
     Reads only the layout `format_instance` writes: `#` lines, the header,
     then the `e`, `c` and `m` blocks in that order, one record of at most
     22 bytes per line, its tag and two integers apart by single spaces.
-    Returns None when the header promises fewer than `min_edges` edges and
-    on anything unexpected (another character, a count other than the
-    header's, an out-of-range vertex, a self-loop, a repeated `c` or `m`
+    Returns None when the header promises fewer than `BLOCK_READER_MIN_EDGES`
+    edges and on anything unexpected (another character, a count other than
+    the header's, an out-of-range vertex, a self-loop, a repeated `c` or `m`
     record, a multiplicity below 1), so that `_parse_lines` reads the file
     or reports its error.
     """
@@ -360,7 +354,7 @@ def _read_kept(
     ):
         return None
     n, m = int(head[2]), int(head[3])
-    if m < min_edges:
+    if m < BLOCK_READER_MIN_EDGES:
         return None
 
     import numpy as np
@@ -422,7 +416,7 @@ def _read_kept(
     keys = _edge_keys(np, n, u, v)
     coloring, motif = _dense_colors(n, colors, mults)
     ids: Sequence[int] = range(n)
-    if twin_edges is not None and m >= twin_edges:
+    if search_twins and m >= TWIN_READER_MIN_EDGES:
         from .twins import twins_kept  # compiled only for a file it searches
 
         keep = twins_kept(n, keys, c_rec, m_rec)

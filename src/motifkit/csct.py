@@ -59,7 +59,7 @@ def solve_csct(inst: CsctInstance) -> Optional[CsctSolution]:
         return CsctSolution(())
     if m == 0:
         return None
-    import numpy as np  # loaded only once the DP runs, as in `core._read_blocks`
+    import numpy as np  # loaded only once the DP runs, as in `core._read_kept`
 
     # Reorder so sets of the same color appear consecutively; remember the
     # original indices for the reconstructed answer.

@@ -2,8 +2,9 @@
 
 Guess the solution's trace on the cover, then an ordered partition of its
 components describing how a minimal connector set inside the independent
-side glues them together; realize connectors via bipartite matching over
-color copies.
+side glues them together.  The bipartite matching of blocks to color
+copies that admits a partition also colors its connectors, and a second
+matching picks a distinct vertex of its color for each.
 """
 
 from __future__ import annotations
@@ -115,14 +116,12 @@ def _try_partition(
         candidates.append(cand)
         earlier |= block_set
 
-    # Matching between partition blocks and color copies decides whether the
-    # connectors can be colored within the leftover motif.
+    # One matching of the blocks to the leftover color copies decides whether
+    # the connectors can be colored within the motif, and colors them.
     color_copies = [c for c in sorted(remaining) for _ in range(remaining[c])]
     edges = []
-    slot_colors: List[Set[int]] = []
     for i, cand in enumerate(candidates):
         colors = {inst.coloring[v] for v in cand}
-        slot_colors.append(colors)
         for j, c in enumerate(color_copies):
             if c in colors:
                 edges.append((i, j))
@@ -132,41 +131,12 @@ def _try_partition(
     if result.size < l:
         return None
 
-    # Realize distinct connector vertices: enumerate color choices per slot
-    # (bounded by the motif), then match slots to concrete vertices.
-    return _realize(inst, s_prime, candidates, slot_colors, remaining, avail)
-
-
-def _realize(
-    inst: Instance,
-    s_prime: Tuple[int, ...],
-    candidates: List[List[int]],
-    slot_colors: List[Set[int]],
-    remaining: Counter,
-    avail: List[int],
-) -> Optional[List[int]]:
-    l = len(candidates)
-    assignment: List[int] = []
-
-    def backtrack(i: int, used: Counter) -> Optional[List[int]]:
-        if i == l:
-            chosen = _match_vertices(inst, candidates, assignment)
-            # The connectors are `avail` vertices within `remaining`.
-            still = remaining - Counter(inst.coloring[v] for v in chosen)
-            completion = pick_by_colors(inst, still, avail, set(chosen))
-            return list(s_prime) + chosen + completion
-        for c in sorted(slot_colors[i]):
-            if used[c] < remaining[c]:
-                used[c] += 1
-                assignment.append(c)
-                out = backtrack(i + 1, used)
-                if out is not None:
-                    return out
-                assignment.pop()
-                used[c] -= 1
-        return None
-
-    return backtrack(0, Counter())
+    chosen = _match_vertices(
+        inst, candidates, [color_copies[j] for _, j in sorted(result.matching)]
+    )
+    # The connectors are `avail` vertices within `remaining`.
+    still = remaining - Counter(inst.coloring[v] for v in chosen)
+    return list(s_prime) + chosen + pick_by_colors(inst, still, avail, set(chosen))
 
 
 def _match_vertices(

@@ -1,5 +1,6 @@
 import re
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,6 @@ from motifkit.core import (
     verify_solution,
     witness_failure,
     _parse_lines,
-    _read_blocks,
 )
 from motifkit.estimators import (
     degree3_vertices,
@@ -384,7 +384,9 @@ MUTATIONS = {
 def check_block_reader(text):
     """The block reader declines or agrees with the line parser, and
     `parse_instance` returns or raises what the line parser does."""
-    got = _read_blocks(text, min_edges=0)
+    with mock.patch.object(core, "BLOCK_READER_MIN_EDGES", 0):
+        got = core._read_kept(text, search_twins=False)
+    got = got and got[0]
     try:
         want = _parse_lines(text)
     except InputError as err:
@@ -484,8 +486,9 @@ class TestBlockReader:
 
     def test_header_below_threshold_is_left_to_the_line_parser(self):
         text = format_instance(Instance(Graph(2, [(0, 1)]), (0, 0), Motif({0: 2})))
-        assert _read_blocks(text) is None
-        assert _read_blocks(text, min_edges=1) is not None
+        assert core._read_kept(text, search_twins=False) is None
+        with mock.patch.object(core, "BLOCK_READER_MIN_EDGES", 1):
+            assert core._read_kept(text, search_twins=False) is not None
 
 
 @st.composite
@@ -511,13 +514,23 @@ def exact_twins(g, u, v):
     return n_u == n_v or n_u | {u} == n_v | {v}
 
 
+def read_reduced(text):
+    """What the block reader of `parse_reduced` keeps of `text`, whatever
+    the header's edge count."""
+    with (
+        mock.patch.object(core, "BLOCK_READER_MIN_EDGES", 0),
+        mock.patch.object(core, "TWIN_READER_MIN_EDGES", 0),
+    ):
+        return core._read_kept(text, search_twins=True)
+
+
 def check_twin_reduction(inst):
     """The reducing block reader keeps an induced sub-instance with the same
     answer, whose witness verifies on the whole, and drops only off-colour
     vertices and vertices with at least m_c kept exact twins of their
     colour."""
     text = format_instance(inst)
-    reduced, ids = core._read_kept(text, 0, 0)
+    reduced, ids = read_reduced(text)
     whole = parse_instance(text)
     assert list(ids) == sorted(set(ids)) and reduced == restrict(whole, ids)[0]
     g, kept = whole.graph, set(ids)
@@ -564,13 +577,13 @@ class TestTwinReduction:
     def test_off_colour_vertices_go_and_the_line_parser_keeps_all(self):
         inst = Instance(Graph(3, [(0, 1), (1, 2)]), (0, 1, 2), Motif({0: 1, 1: 1}))
         text = format_instance(inst)
-        assert core._read_kept(text, 0, 0)[1] == [0, 1]
+        assert read_reduced(text)[1] == [0, 1]
         assert parse_reduced(text) == (parse_instance(text), range(3))
 
     @settings(max_examples=150, deadline=None)
     @given(instances_with_twins(max_n=5, max_twins=5))
     def test_no_parameter_grows(self, inst):
-        reduced, _ = core._read_kept(format_instance(inst), 0, 0)
+        reduced, _ = read_reduced(format_instance(inst))
         g, h = inst.graph, reduced.graph
         for estimate in (min_vertex_cover, dist_to_clique_set, dist_to_co_cluster_set):
             assert len(estimate(h)) <= len(estimate(g))

@@ -1145,9 +1145,9 @@ KERNEL_BRANCHES = {
     # Cover {0, 1, 2}, all colour 1: the motif's five 1s force the guess of
     # all three, three components.  Vertices 3 (colour 1) and 4 (colour 0)
     # touch 0 and 1, vertex 5 (colour 0) touches 0 and 2.  On the blocks
-    # [{0, 1}, {2}] the first slot tries colour 0 first, which leaves the
-    # second slot none, and backtracks to colour 1.
-    "vc-colour-backtrack": (
+    # [{0, 1}, {2}] the lowest colour for the first slot, 0, would leave the
+    # second slot none: the colour-copy matching gives the first slot 1.
+    "vc-lowest-colour-starves-a-later-slot": (
         vertex_cover,
         solve_vertex_cover,
         Instance(
@@ -1156,7 +1156,7 @@ KERNEL_BRANCHES = {
             Motif({1: 5, 0: 1}),
         ),
         {0, 1, 2},
-        ("if out is not None:", "assignment.pop()"),
+        ("if result.size < l:", "chosen = _match_vertices("),
     ),
     # The path 1-0-3-2-4 split into {1}, {4}, {0, 3}, {2}.  Where one vertex
     # of {0, 3} ends both its tree edges, the edge to {1} fixes it to colour

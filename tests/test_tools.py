@@ -60,6 +60,7 @@ class TestBenchPairs:
         line = json.dumps(fake_run(0, "parent", True, 100, 0.01)["result"])
 
         def fake_subprocess_run(argv, cwd, env, **kwargs):
+            assert "PYTHONDONTWRITEBYTECODE" not in env
             prefix = env["PYTHONPYCACHEPREFIX"]
             side = trees[str(cwd)]
             if not prefixes[side]:
@@ -68,7 +69,11 @@ class TestBenchPairs:
             return SimpleNamespace(stdout=line + "\n")
 
         out = tmp_path / "BENCH.json"
-        with mock.patch.object(bench_pairs.subprocess, "run", fake_subprocess_run):
+        # Set, it would keep every run from writing its bytecode.
+        with (
+            mock.patch.dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+            mock.patch.object(bench_pairs.subprocess, "run", fake_subprocess_run),
+        ):
             code = bench_pairs.main(
                 [str(tmp_path / "parent"), str(tmp_path / "change"),
                  "--out", str(out), "--seeds", "1-2"]

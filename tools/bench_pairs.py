@@ -15,8 +15,10 @@ The two sides take turns to run first: the parent runs first on the first,
 third, ... seed.  Each side writes and reads its bytecode under its own
 `PYTHONPYCACHEPREFIX`, an empty directory at the start that the script
 makes and removes, so a tree's own stale `__pycache__` cannot make one side
-import faster than the other; `perfbench/run.py` passes the setting on to
-its children.  The file records every run (seed, side, whether it ran
+import faster than the other.  `PYTHONDONTWRITEBYTECODE` is dropped from
+the runs' environment: with it set nothing is cached, and every process
+compiles each module it imports, which `setup_s` would count.
+`perfbench/run.py` passes that environment on to its children.  The file records every run (seed, side, whether it ran
 first, run.py's JSON) and,
 per workload, a summary: whether every verdict was correct, the attempted
 and failed counts per side, and for each end-to-end metric of
@@ -57,7 +59,9 @@ def parse_seeds(text: str) -> list:
 
 
 def run_once(tree: Path, workload: str, seed: int, pycache: Path) -> dict:
-    """run.py's last output line, parsed; bytecode goes under `pycache`."""
+    """run.py's last output line, parsed; bytecode is written under `pycache`."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     done = subprocess.run(
         [
             sys.executable,
@@ -70,7 +74,7 @@ def run_once(tree: Path, workload: str, seed: int, pycache: Path) -> dict:
         cwd=tree,
         stdout=subprocess.PIPE,
         text=True,
-        env=dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache)),
+        env=env,
     )
     lines = done.stdout.strip().splitlines()
     if not lines:
@@ -155,7 +159,8 @@ def main(argv=None) -> int:
         "order": (
             "pairs alternate which side runs first (ran_first); the parent "
             "runs first on the first, third, ... seed; each side compiles into "
-            "its own PYTHONPYCACHEPREFIX, empty at the start of the session"
+            "its own PYTHONPYCACHEPREFIX, empty at the start of the session, "
+            "with PYTHONDONTWRITEBYTECODE unset"
         ),
     }
     if args.claim:
