@@ -453,7 +453,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         raise InputError(f"{args.directory} is not a directory")
     paths = sorted(str(p) for p in directory.glob("*.gm"))
-    algos = args.algo
+    algos = list(dict.fromkeys(args.algo))  # each once, in order
     jobs = [(path, algo, args.timeout) for path in paths for algo in algos]
     results: Dict[Tuple[str, str], Tuple[str, float]] = {}
     errors: Dict[str, None] = {}  # each message once, in order

@@ -3,14 +3,14 @@
 Guess the solution's trace on the cover, then an ordered partition of its
 components describing how a minimal connector set inside the independent
 side glues them together.  The bipartite matching of blocks to color
-copies that admits a partition also colors its connectors, and a second
-matching picks a distinct vertex of its color for each.
+copies that admits a partition also colors its connectors, and each
+connector is its slot's lowest candidate of the matched color.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core import Instance, SolveOutcome, connected_components
 from ..combinatorics import (
@@ -31,54 +31,39 @@ def solve_vertex_cover(
 
 
 def _solve_connected(inst: Instance, cover: Set[int]) -> Optional[List[int]]:
-    g = inst.graph
-    independent = [v for v in range(g.n) if v not in cover]
     # A solution of two or more vertices spans an edge, so it meets the
     # cover in a nonempty S'.
     return search_guesses(inst, cover, lambda s_prime, remaining: _try_guess(
-        inst, s_prime, remaining, independent))
+        inst, s_prime, remaining, cover))
 
 
 def _try_guess(
     inst: Instance,
     s_prime: Tuple[int, ...],
     remaining: Counter,
-    independent: List[int],
+    cover: Set[int],
 ) -> Optional[List[int]]:
     g = inst.graph
+    comps = connected_components(g, s_prime)
     if not remaining:
         # S' would be the whole solution, which it is only if connected.
-        return list(s_prime) if len(connected_components(g, s_prime)) == 1 else None
+        return list(s_prime) if len(comps) == 1 else None
 
-    s_prime_set = set(s_prime)
-    # Independent-side vertices with a neighbor in S' are the only ones that
-    # can join this solution (their whole neighborhood lies in the cover).
-    avail = [
-        v
-        for v in independent
-        if any(u in s_prime_set for u in g.adjacency[v])
-    ]
+    # Independent-side vertices that touch a component of S' are the only
+    # ones that can join this solution (their neighborhood lies in the cover).
+    nbr_comps: Dict[int, Set[int]] = {}
+    for i, comp in enumerate(comps):
+        for u in comp:
+            for v in g.adjacency[u]:
+                if v not in cover:
+                    nbr_comps.setdefault(v, set()).add(i)
+    avail = sorted(nbr_comps)
     if remaining - Counter(inst.coloring[v] for v in avail):
         return None
 
-    comps = [frozenset(c) for c in connected_components(g, s_prime)]
-    if len(comps) == 1:
-        # `avail` holds `remaining` of every color, checked above.
-        return list(s_prime) + pick_by_colors(inst, remaining, avail, set())
-
-    # Candidate connectors per component subset are defined by adjacency.
-    nbr_comps: Dict[int, FrozenSet[int]] = {}
-    for v in avail:
-        touched = frozenset(
-            i
-            for i, comp in enumerate(comps)
-            if any(u in comp for u in g.adjacency[v])
-        )
-        nbr_comps[v] = touched
-
     # Every block needs a connector that touches all of it, in any order:
     # a set partition with a block no such vertex touches is skipped whole.
-    touched = set(nbr_comps.values())
+    touched = {frozenset(t) for t in nbr_comps.values()}
 
     def connectable(blocks: List[List[int]]) -> bool:
         return all(any(t.issuperset(block) for t in touched) for block in blocks)
@@ -97,7 +82,7 @@ def _try_partition(
     s_prime: Tuple[int, ...],
     blocks: List[List[int]],
     avail: List[int],
-    nbr_comps: Dict[int, FrozenSet[int]],
+    nbr_comps: Dict[int, Set[int]],
     remaining: Counter,
 ) -> Optional[List[int]]:
     l = len(blocks)
@@ -131,29 +116,13 @@ def _try_partition(
     if result.size < l:
         return None
 
-    chosen = _match_vertices(
-        inst, candidates, [color_copies[j] for _, j in sorted(result.matching)]
-    )
+    # Each slot takes its lowest candidate of its matched color.  Were two
+    # slots i < j to take one vertex, merging block j into block i would give
+    # a partition one block shorter that an earlier level realized.
+    chosen = [
+        next(v for v in cand if inst.coloring[v] == color_copies[j])
+        for cand, (_, j) in zip(candidates, sorted(result.matching))
+    ]
     # The connectors are `avail` vertices within `remaining`.
     still = remaining - Counter(inst.coloring[v] for v in chosen)
     return list(s_prime) + chosen + pick_by_colors(inst, still, avail, set(chosen))
-
-
-def _match_vertices(
-    inst: Instance, candidates: List[List[int]], colors: List[int]
-) -> List[int]:
-    """Distinct vertices, one per slot, with the prescribed colors.  If every
-    choice gave two slots one vertex, merging their blocks would give a
-    partition one block shorter, which an earlier level realized."""
-    pool = sorted({v for cand in candidates for v in cand})
-    index = {v: j for j, v in enumerate(pool)}
-    edges = [
-        (i, index[v])
-        for i, cand in enumerate(candidates)
-        for v in cand
-        if inst.coloring[v] == colors[i]
-    ]
-    result = max_matching_with_cover(
-        BipartiteGraph(len(candidates), len(pool), tuple(edges))
-    )
-    return [pool[j] for _, j in sorted(result.matching)]

@@ -559,6 +559,27 @@ class TestBench:
             main(["bench", str(tmp_path), "--algo", "nope", "--timeout", "0"])
         assert exc.value.code == EXIT_PARSE
 
+    def test_a_repeated_algo_runs_once(self, tmp_path, capsys, monkeypatch):
+        cells = []
+
+        def run_cells(cell, jobs):
+            jobs = list(jobs)
+            cells.extend(jobs)
+            return map(cell, jobs)
+
+        monkeypatch.setattr(
+            cli, "ProcessPoolExecutor",
+            lambda max_workers: contextlib.nullcontext(SimpleNamespace(map=run_cells)),
+        )
+        (tmp_path / "a.gm").write_text(YES_TEXT)
+        (tmp_path / "b.gm").write_text(NO_TEXT)
+        code = main(["bench", str(tmp_path), "--algo", "vc", "vc", "brute"])
+        assert code == EXIT_YES
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        expected = [("a.gm", "vc"), ("a.gm", "brute"), ("b.gm", "vc"), ("b.gm", "brute")]
+        assert [(r[0], r[1]) for r in rows] == expected
+        assert len(cells) == 4
+
     def test_disagreeing_solvers_are_marked_and_exit_1(
         self, tmp_path, capsys, monkeypatch
     ):

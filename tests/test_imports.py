@@ -10,6 +10,8 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 import motifkit
 
 PACKAGE = Path(motifkit.__file__).resolve().parent
@@ -144,21 +146,38 @@ def test_core_and_generators_do_not_load_numpy():
     assert done.stdout == "False\n"
 
 
-def test_a_small_maxleaf_solve_does_not_load_numpy(tmp_path):
+@pytest.mark.parametrize(
+    "algo, cover",
+    [
+        ("maxleaf", None),
+        ("vc", None),
+        ("vcc", ("--vertex-clique-cover", "0 1\n2 3\n")),
+        ("ecc", ("--edge-clique-cover", "0 1\n1 2\n2 3\n")),
+    ],
+)
+def test_a_small_solve_does_not_load_numpy(tmp_path, algo, cover):
     # A file below `BLOCK_READER_MIN_EDGES` edges goes to the line parser,
-    # and maxleaf runs no `csct` DP, the one other user of NumPy.
+    # and these solvers run no `csct` DP, the one other user of NumPy.
     instance = tmp_path / "path.gm"
-    instance.write_text("p gm 3 2\ne 0 1\ne 1 2\nc 0 0\nc 1 1\nc 2 0\nm 0 1\nm 1 1\n")
+    instance.write_text(
+        "p gm 4 3\ne 0 1\ne 1 2\ne 2 3\nc 0 0\nc 1 1\nc 2 0\nc 3 1\n"
+        "m 0 2\nm 1 1\n"
+    )
+    argv = ["solve", str(instance), "--algo", algo]
+    if cover:
+        option, text = cover
+        (tmp_path / "cover.txt").write_text(text)
+        argv += [option, str(tmp_path / "cover.txt")]
     code = (
         "import sys\nfrom motifkit import cli\n"
-        "code = cli.main(['solve', sys.argv[1], '--algo', 'maxleaf'])\n"
+        "code = cli.main(sys.argv[1:])\n"
         "print(code, 'numpy' in sys.modules)"
     )
     path = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
     )
     done = subprocess.run(
-        [sys.executable, "-c", code, str(instance)],
+        [sys.executable, "-c", code, *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,

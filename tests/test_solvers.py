@@ -1156,7 +1156,7 @@ KERNEL_BRANCHES = {
             Motif({1: 5, 0: 1}),
         ),
         {0, 1, 2},
-        ("if result.size < l:", "chosen = _match_vertices("),
+        ("if result.size < l:", "chosen = ["),
     ),
     # The path 1-0-3-2-4 split into {1}, {4}, {0, 3}, {2}.  Where one vertex
     # of {0, 3} ends both its tree edges, the edge to {1} fixes it to colour
@@ -1262,3 +1262,26 @@ class TestKernelBranches:
         out = solve(inst, structure)
         assert out.is_yes == solve_brute(inst).is_yes
         assert not out.is_yes or verify_solution(inst, out.witness)
+
+
+class TestOneMatchingPerPartition:
+    @pytest.mark.parametrize(
+        "inst, cover",
+        [
+            pytest.param(*KERNEL_BRANCHES["vc-lowest-colour-starves-a-later-slot"][2:4],
+                         id="starved-slot"),
+            pytest.param(gen_x3c_paths(FIG_SOURCE).instance, None, id="x3c-paths"),
+        ],
+    )
+    def test_a_yes_solve_runs_one_matching(self, inst, cover):
+        # Each slot's lowest candidate of its matched colour is already
+        # distinct, so no second matching follows the colour-copy matching
+        # of the partition that succeeds.  Every partition tried before it
+        # here has a slot with no connector, so it runs no matching.
+        with mock.patch.object(
+            vertex_cover, "max_matching_with_cover",
+            wraps=vertex_cover.max_matching_with_cover,
+        ) as matchings:
+            out = solve_vertex_cover(inst, cover)
+        assert out.is_yes and verify_solution(inst, out.witness)
+        assert matchings.call_count == 1
