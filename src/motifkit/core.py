@@ -226,13 +226,6 @@ def verify_solution(inst: Instance, r: Iterable[int]) -> bool:
     return witness_failure(inst, r) is None
 
 
-# Rows of at most this many neighbours are walked by `connected_components`
-# rather than intersected: on a 400-vertex random tree the walk takes
-# 0.11 ms against 0.17 ms, and on dense-clique graphs the two cost the same
-# (0.55 ms) once rows longer than this are intersected.
-_WALKED_ROW = 8
-
-
 def connected_components(g: Graph, s: Iterable[int]) -> List[List[int]]:
     """Components of G[s], each sorted, ordered by smallest vertex id."""
     unseen = set(s)
@@ -247,40 +240,24 @@ def connected_components(g: Graph, s: Iterable[int]) -> List[List[int]]:
         comp = [start]
         # A breadth-first search: the loop reaches what is appended to comp.
         # Once every vertex of s is placed, the rows left have nothing new.
-        # A short row is walked; a long one is intersected with unseen at
-        # once, which pays for the set it allocates only past a few entries.
         for u in comp:
             if not unseen:
                 break
-            row = g.adjacency[u]
-            if len(row) <= _WALKED_ROW:
-                for w in row:
-                    if w in unseen:
-                        unseen.remove(w)
-                        comp.append(w)
-                continue
-            fresh = unseen.intersection(row)
-            if fresh:
-                unseen -= fresh
-                comp.extend(fresh)
+            for w in g.adjacency[u]:
+                if w in unseen:
+                    unseen.remove(w)
+                    comp.append(w)
         comp.sort()
         comps.append(comp)
     return comps
 
 
-# `parse_instance` tries the block reader, `_read_kept`, on files whose
-# header promises at least this many edges.  Below it the reader's fixed
-# NumPy cost, about 0.1 ms, outweighs what it saves: best of 300 runs, the
-# line parser takes 0.07, 0.11 and 0.25 ms at 28, 100 and 300 edges, the
-# reader 0.10, 0.10 and 0.11 ms.
-BLOCK_READER_MIN_EDGES = 100
-
-# `parse_reduced` looks for twins in files whose header promises at least
-# this many edges.  Below it the search's fixed NumPy cost, about 0.3 ms,
-# outweighs what it saves: on hitting-set split graphs, in process, best of
-# 9, a dist-clique `solve` that reduces is 0.35, 0.18 and 0.10 ms slower at
-# 300, 1,014 and 2,799 edges, and 0.16 and 0.25 ms faster at 4,029 and
-# 11,202 edges.
+# `parse_reduced` reads with NumPy and looks for twins only in files whose
+# header promises at least this many edges.  Below it NumPy's import, about
+# 0.1 s cold, and the search's fixed cost, about 0.3 ms, outweigh what it
+# saves: on hitting-set split graphs, in process, best of 9, a dist-clique
+# `solve` that reduces is 0.35, 0.18 and 0.10 ms slower at 300, 1,014 and
+# 2,799 edges, and 0.16 and 0.25 ms faster at 4,029 and 11,202 edges.
 TWIN_READER_MIN_EDGES = 4000
 
 
@@ -289,10 +266,60 @@ def parse_instance(text: str) -> Instance:
 
     `p gm <n> <m>` header, then `e <u> <v>`, `c <v> <color>`, and
     `m <color> <mult>` lines; `#` starts a comment.  Sparse external color
-    ids are re-mapped to dense 0-based ids.
+    ids are re-mapped to dense 0-based ids.  Any valid file is read, and an
+    `InputError` names the line of the first error.
     """
-    read = _read_kept(text, search_twins=False)
-    return read[0] if read else _parse_lines(text)
+    header: Optional[Tuple[int, int]] = None
+    edges: List[Tuple[int, int]] = []
+    colors: Dict[int, int] = {}
+    mults: Dict[int, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        tag = fields[0]
+        if tag == "p":
+            if header is not None:
+                raise InputError(f"line {lineno}: duplicate header")
+            if len(fields) != 4 or fields[1] != "gm":
+                raise InputError(f"line {lineno}: header must be 'p gm <n> <m>'")
+            try:
+                header = (int(fields[2]), int(fields[3]))
+            except ValueError:
+                raise InputError(f"line {lineno}: non-integer header field") from None
+            continue
+        if tag not in ("e", "c", "m"):
+            raise InputError(f"line {lineno}: unknown record {tag!r}")
+        if len(fields) != 3:
+            raise InputError(f"line {lineno}: expected 2 fields")
+        try:
+            a, b = int(fields[1]), int(fields[2])
+        except ValueError:
+            raise InputError(f"line {lineno}: non-integer field") from None
+        if tag == "e":
+            edges.append((a, b))
+        elif tag == "c":
+            if a in colors:
+                raise InputError(f"line {lineno}: vertex {a} colored twice")
+            if b < 0:
+                raise InputError(f"line {lineno}: negative color")
+            colors[a] = b
+        else:
+            if a in mults:
+                raise InputError(f"line {lineno}: motif color {a} repeated")
+            if b < 1:
+                raise InputError(f"line {lineno}: multiplicity must be >= 1")
+            mults[a] = b
+    if header is None:
+        raise InputError("missing 'p gm' header")
+    n, m = header
+    # Count first: a huge n in the header must not allocate anything.
+    if len(colors) != n or any(not 0 <= v < n for v in colors):
+        raise InputError("every vertex 0..n-1 needs exactly one 'c' line")
+    if len(edges) != m:
+        raise InputError(f"header promises {m} edges, found {len(edges)}")
+    coloring, motif = _dense_colors(n, colors, mults)
+    return Instance(Graph(n, edges), coloring, motif)
 
 
 def parse_reduced(text: str) -> Tuple[Instance, Sequence[int]]:
@@ -308,32 +335,28 @@ def parse_reduced(text: str) -> Tuple[Instance, Sequence[int]]:
     neighbours in it are u's.  No answer changes, and no deletion-set
     parameter grows, since deleting vertices never raises one.  A file whose
     header promises fewer than `TWIN_READER_MIN_EDGES` edges, or one the
-    block reader declines, is read whole, as `parse_instance` reads it, with
-    `range(n)` as its `ids`.
+    block reader declines, is read whole by `parse_instance`, with `range(n)`
+    as its `ids`.
     """
-    read = _read_kept(text, search_twins=True)
+    read = _read_kept(text)
     if read is None:
-        inst = _parse_lines(text)
+        inst = parse_instance(text)
         return inst, range(inst.graph.n)
     return read
 
 
-def _read_kept(
-    text: str, search_twins: bool
-) -> Optional[Tuple[Instance, Sequence[int]]]:
-    """The instance in `text`, read with NumPy from its separators, and the
-    ids of the vertices it keeps (`restrict`'s), or None.  It keeps what
-    `twins.twins_kept` keeps if `search_twins` is set and the header
-    promises at least `TWIN_READER_MIN_EDGES` edges, else every vertex; the
-    ids are `range(n)` when it keeps all.
+def _read_kept(text: str) -> Optional[Tuple[Instance, Sequence[int]]]:
+    """The instance in `text`, read with NumPy from its separators, less
+    what `twins.twins_kept` drops, and the ids of the vertices it keeps
+    (`restrict`'s; `range(n)` when it keeps all), or None.
 
     Reads only the layout `format_instance` writes: `#` lines, the header,
     then the `e`, `c` and `m` blocks in that order, one record of at most
     22 bytes per line, its tag and two integers apart by single spaces.
-    Returns None when the header promises fewer than `BLOCK_READER_MIN_EDGES`
+    Returns None when the header promises fewer than `TWIN_READER_MIN_EDGES`
     edges and on anything unexpected (another character, a count other than
     the header's, an out-of-range vertex, a self-loop, a repeated `c` or `m`
-    record, a multiplicity below 1), so that `_parse_lines` reads the file
+    record, a multiplicity below 1), so that `parse_instance` reads the file
     or reports its error.
     """
     start = 0
@@ -354,7 +377,7 @@ def _read_kept(
     ):
         return None
     n, m = int(head[2]), int(head[3])
-    if m < BLOCK_READER_MIN_EDGES:
+    if m < TWIN_READER_MIN_EDGES:
         return None
 
     import numpy as np
@@ -415,17 +438,16 @@ def _read_kept(
     del body, b, sep, widths, kinds, last
     keys = _edge_keys(np, n, u, v)
     coloring, motif = _dense_colors(n, colors, mults)
-    ids: Sequence[int] = range(n)
-    if search_twins and m >= TWIN_READER_MIN_EDGES:
-        from .twins import twins_kept  # compiled only for a file it searches
+    from .twins import twins_kept  # compiled only for a file it searches
 
-        keep = twins_kept(n, keys, c_rec, m_rec)
-        if not keep.all():
-            # Ids shift down past each dropped vertex.
-            both, new = keep[u] & keep[v], np.cumsum(keep) - 1
-            ids = np.flatnonzero(keep).tolist()
-            n, coloring = len(ids), tuple(map(coloring.__getitem__, ids))
-            keys = _edge_keys(np, n, new[u[both]], new[v[both]])
+    ids: Sequence[int] = range(n)
+    keep = twins_kept(n, keys, c_rec, m_rec)
+    if not keep.all():
+        # Ids shift down past each dropped vertex.
+        both, new = keep[u] & keep[v], np.cumsum(keep) - 1
+        ids = np.flatnonzero(keep).tolist()
+        n, coloring = len(ids), tuple(map(coloring.__getitem__, ids))
+        keys = _edge_keys(np, n, new[u[both]], new[v[both]])
     cuts = [0, *np.searchsorted(keys, np.arange(1, n + 1) * n).tolist()]
     nbrs = tuple((keys % n).tolist())
     rows = tuple(nbrs[a:z] for a, z in zip(cuts, cuts[1:]))
@@ -438,61 +460,6 @@ def _edge_keys(np, n: int, u, v):
     keys = np.concatenate((u * n + v, v * n + u))
     keys.sort()
     return keys[np.diff(keys, prepend=-1) != 0]
-
-
-def _parse_lines(text: str) -> Instance:
-    """The line parser: reads any valid file and names each error's line."""
-    header: Optional[Tuple[int, int]] = None
-    edges: List[Tuple[int, int]] = []
-    colors: Dict[int, int] = {}
-    mults: Dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split("#", 1)[0].split()
-        if not fields:
-            continue
-        tag = fields[0]
-        if tag == "p":
-            if header is not None:
-                raise InputError(f"line {lineno}: duplicate header")
-            if len(fields) != 4 or fields[1] != "gm":
-                raise InputError(f"line {lineno}: header must be 'p gm <n> <m>'")
-            try:
-                header = (int(fields[2]), int(fields[3]))
-            except ValueError:
-                raise InputError(f"line {lineno}: non-integer header field") from None
-            continue
-        if tag not in ("e", "c", "m"):
-            raise InputError(f"line {lineno}: unknown record {tag!r}")
-        if len(fields) != 3:
-            raise InputError(f"line {lineno}: expected 2 fields")
-        try:
-            a, b = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise InputError(f"line {lineno}: non-integer field") from None
-        if tag == "e":
-            edges.append((a, b))
-        elif tag == "c":
-            if a in colors:
-                raise InputError(f"line {lineno}: vertex {a} colored twice")
-            if b < 0:
-                raise InputError(f"line {lineno}: negative color")
-            colors[a] = b
-        else:
-            if a in mults:
-                raise InputError(f"line {lineno}: motif color {a} repeated")
-            if b < 1:
-                raise InputError(f"line {lineno}: multiplicity must be >= 1")
-            mults[a] = b
-    if header is None:
-        raise InputError("missing 'p gm' header")
-    n, m = header
-    # Count first: a huge n in the header must not allocate anything.
-    if len(colors) != n or any(not 0 <= v < n for v in colors):
-        raise InputError("every vertex 0..n-1 needs exactly one 'c' line")
-    if len(edges) != m:
-        raise InputError(f"header promises {m} edges, found {len(edges)}")
-    coloring, motif = _dense_colors(n, colors, mults)
-    return Instance(Graph(n, edges), coloring, motif)
 
 
 def _dense_colors(

@@ -188,6 +188,12 @@ class TestSolve:
     def test_missing_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.gm")]) == EXIT_PARSE
 
+    def test_a_file_that_is_not_utf8_is_an_input_error(self, tmp_path, capsys):
+        p = tmp_path / "bytes.gm"
+        p.write_bytes(YES_TEXT.encode() + b"\xff\xfe")
+        assert main(["solve", str(p)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: cannot read {p}: ")
+
     def test_brute_capacity(self, tmp_path):
         n = 30
         lines = [f"p gm {n} 0"] + [f"c {v} 0" for v in range(n)] + ["m 0 1"]
@@ -552,6 +558,16 @@ class TestBench:
         err = captured.err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {tmp_path / 'b.gm'}: line 2")
+
+    def test_a_file_that_is_not_utf8_is_err_not_fatal(self, tmp_path, capsys):
+        (tmp_path / "a.gm").write_text(YES_TEXT)
+        (tmp_path / "b.gm").write_bytes(YES_TEXT.encode() + b"\xff\xfe")
+        code = main(["bench", str(tmp_path), "--algo", "vc", "--timeout", "30"])
+        assert code == EXIT_PARSE
+        captured = capsys.readouterr()
+        rows = [line.split() for line in captured.out.splitlines()[1:]]
+        assert [(r[0], r[2]) for r in rows] == [("a.gm", "YES"), ("b.gm", "ERR")]
+        assert captured.err.startswith(f"error: {tmp_path / 'b.gm'}: cannot read ")
 
     def test_unknown_algo(self, tmp_path):
         (tmp_path / "a.gm").write_text(YES_TEXT)

@@ -2,13 +2,14 @@ import re
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motifkit import core, twins
 from motifkit.core import (
-    BLOCK_READER_MIN_EDGES,
+    TWIN_READER_MIN_EDGES,
     Graph,
     InputError,
     Instance,
@@ -23,7 +24,6 @@ from motifkit.core import (
     restrict,
     verify_solution,
     witness_failure,
-    _parse_lines,
 )
 from motifkit.estimators import (
     degree3_vertices,
@@ -325,10 +325,10 @@ class TestFileFormat:
         assert time.perf_counter() - start < 0.5
 
     def test_huge_header_with_many_edges_rejected_without_allocating(self):
-        edges = "e 0 1\n" * BLOCK_READER_MIN_EDGES
+        edges = "e 0 1\n" * TWIN_READER_MIN_EDGES
         start = time.perf_counter()
         with pytest.raises(InputError):
-            parse_instance(f"p gm 1000000000 {BLOCK_READER_MIN_EDGES}\n{edges}c 0 0\n")
+            parse_reduced(f"p gm 1000000000 {TWIN_READER_MIN_EDGES}\n{edges}c 0 0\n")
         assert time.perf_counter() - start < 0.5
 
     @given(instances(), st.sampled_from(["", "one line", "two\nlines"]))
@@ -382,20 +382,20 @@ MUTATIONS = {
 
 
 def check_block_reader(text):
-    """The block reader declines or agrees with the line parser, and
-    `parse_instance` returns or raises what the line parser does."""
-    with mock.patch.object(core, "BLOCK_READER_MIN_EDGES", 0):
-        got = core._read_kept(text, search_twins=False)
+    """The block reader, whatever the header's edge count and keeping every
+    vertex, declines or agrees with the line parser, `parse_instance`."""
+    with (
+        mock.patch.object(twins, "twins_kept", lambda n, *records: np.ones(n, bool)),
+        mock.patch.object(core, "TWIN_READER_MIN_EDGES", 0),
+    ):
+        got = core._read_kept(text)
     got = got and got[0]
     try:
-        want = _parse_lines(text)
-    except InputError as err:
+        want = parse_instance(text)
+    except InputError:
         assert got is None
-        with pytest.raises(InputError, match=f"^{re.escape(str(err))}$"):
-            parse_instance(text)
         return None
     assert got is None or got == want
-    assert parse_instance(text) == want
     return got
 
 
@@ -486,9 +486,9 @@ class TestBlockReader:
 
     def test_header_below_threshold_is_left_to_the_line_parser(self):
         text = format_instance(Instance(Graph(2, [(0, 1)]), (0, 0), Motif({0: 2})))
-        assert core._read_kept(text, search_twins=False) is None
-        with mock.patch.object(core, "BLOCK_READER_MIN_EDGES", 1):
-            assert core._read_kept(text, search_twins=False) is not None
+        assert core._read_kept(text) is None
+        with mock.patch.object(core, "TWIN_READER_MIN_EDGES", 1):
+            assert core._read_kept(text) is not None
 
 
 @st.composite
@@ -517,11 +517,8 @@ def exact_twins(g, u, v):
 def read_reduced(text):
     """What the block reader of `parse_reduced` keeps of `text`, whatever
     the header's edge count."""
-    with (
-        mock.patch.object(core, "BLOCK_READER_MIN_EDGES", 0),
-        mock.patch.object(core, "TWIN_READER_MIN_EDGES", 0),
-    ):
-        return core._read_kept(text, search_twins=True)
+    with mock.patch.object(core, "TWIN_READER_MIN_EDGES", 0):
+        return core._read_kept(text)
 
 
 def check_twin_reduction(inst):

@@ -1,7 +1,7 @@
 """Every name a motifkit module imports is used in that module, every
 function, class and method the package defines is used somewhere in it, and
-the modules that build corpora, and a solve that needs neither the block
-reader nor the set-cover DP, do not load NumPy."""
+the modules that build corpora, and a one-shot command on a file below the
+twin reader's edge count that runs no set-cover DP, do not load NumPy."""
 
 import ast
 import os
@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import motifkit
+from motifkit.core import format_instance
+from motifkit.generators import SetSystem, gen_hitting_set_split
 
 PACKAGE = Path(motifkit.__file__).resolve().parent
 
@@ -156,7 +158,7 @@ def test_core_and_generators_do_not_load_numpy():
     ],
 )
 def test_a_small_solve_does_not_load_numpy(tmp_path, algo, cover):
-    # A file below `BLOCK_READER_MIN_EDGES` edges goes to the line parser,
+    # A file below `TWIN_READER_MIN_EDGES` edges goes to the line parser,
     # and these solvers run no `csct` DP, the one other user of NumPy.
     instance = tmp_path / "path.gm"
     instance.write_text(
@@ -168,6 +170,30 @@ def test_a_small_solve_does_not_load_numpy(tmp_path, algo, cover):
         option, text = cover
         (tmp_path / "cover.txt").write_text(text)
         argv += [option, str(tmp_path / "cover.txt")]
+    assert exit_code_and_numpy_loaded(argv) == "0 False"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["solve", "--algo", "maxleaf"], ["solve", "--algo", "vc"], ["params", "--limit", "3"]],
+    ids=["solve-maxleaf", "solve-vc", "params-limit-3"],
+)
+def test_a_300_edge_command_does_not_load_numpy(tmp_path, command):
+    # Shaped like the 300-edge clique-hs files of the auto-mixed corpus: a
+    # 24-vertex element clique and eight sets of three.
+    sets = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11),
+            (0, 3, 6), (1, 4, 9), (2, 7, 10), (5, 8, 11)]
+    inst = gen_hitting_set_split(SetSystem(24, tuple(sets), 4)).instance
+    assert inst.graph.num_edges() == 300
+    instance = tmp_path / "clique-hs.gm"
+    instance.write_text(format_instance(inst))
+    argv = [command[0], str(instance), *command[1:]]
+    assert exit_code_and_numpy_loaded(argv) == "0 False"
+
+
+def exit_code_and_numpy_loaded(argv):
+    """`main(argv)`'s exit code and whether NumPy was loaded, in a fresh
+    process, as one line."""
     code = (
         "import sys\nfrom motifkit import cli\n"
         "code = cli.main(sys.argv[1:])\n"
@@ -183,4 +209,4 @@ def test_a_small_solve_does_not_load_numpy(tmp_path, algo, cover):
         text=True,
         check=True,
     )
-    assert done.stdout.splitlines()[-1] == "0 False"
+    return done.stdout.splitlines()[-1]

@@ -10,7 +10,7 @@ side's generators, and prints each workload's `corpus_sha256` for both sides.
 It then runs `motifkit` on every file of PARENT_SRC's corpora under each
 side, one subprocess per cell with a time limit of S seconds (default 5):
 
-    dense-clique  solve --algo dist-clique
+    dense-clique  solve --algo dist-clique; params --limit 7
     sparse-paths  solve --algo maxleaf
     auto-mixed    solve with auto, vc, cocluster, dist-clique and maxleaf;
                   solve with auto and a vertex clique cover file;
@@ -18,7 +18,9 @@ side, one subprocess per cell with a time limit of S seconds (default 5):
                   params, and params --limit 7
 
 `params` prints the deletion-set estimators' sizes, so its cells compare the
-estimators themselves, uncapped and capped.  The cover files are written
+estimators themselves, uncapped and capped.  Dense-clique's `params` cells
+are the ones that read files of at least 4,000 edges whole, through
+`parse_instance`; they take 0.2-0.4 s each.  The cover files are written
 once per file of each corpus, with PARENT_SRC's `motifkit`, as `motifkit bench` builds its
 covers: `greedy_vertex_clique_cover` for vcc, and the edges (one vertex
 per clique on an edgeless graph) for ecc.  Many vcc and ecc cells run to
@@ -54,7 +56,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Per workload, each cell's command and its arguments after the file.
 CELLS = {
-    "dense-clique": [["solve", "--algo", "dist-clique"]],
+    "dense-clique": [["solve", "--algo", "dist-clique"], ["params", "--limit", "7"]],
     "sparse-paths": [["solve", "--algo", "maxleaf"]],
     "auto-mixed": [
         ["solve"],
