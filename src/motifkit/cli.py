@@ -74,11 +74,11 @@ EXIT_PARSE = 2
 EXIT_CAPACITY = 3
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, name: Optional[str] = None) -> str:
     try:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+        raise InputError(f"cannot read {name or path}: {exc}") from None
 
 
 def _parse_cover_file(text: str) -> List[List[int]]:
@@ -411,7 +411,8 @@ def _bench_cell(job: Tuple[str, str, float]) -> Tuple[str, str, str, float, str]
     when the solver raises one other than a timeout or a `CapacityError`."""
     path, algo, timeout = job
     try:
-        inst, _ = parse_reduced(_read_text(path))
+        # The error line names the path already.
+        inst, _ = parse_reduced(_read_text(path, "file"))
     except InputError as exc:
         return path, algo, "ERR", 0.0, str(exc)
     # Loaded before the timer is armed: an alarm inside NumPy's first import

@@ -4,7 +4,8 @@ Vertices of degree at least 3 form a small set S; the rest decomposes into
 paths whose interiors have no neighbors outside the path.  A solution
 intersects each path in a prefix, a suffix, both, or (only when it avoids S
 entirely) one inner window, so a count-and-connectivity dynamic program over
-the paths decides the instance.
+the paths decides the instance.  Its color counts are packed into one int per
+state, and only the back-trace builds the vertex lists of the options it takes.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import reduce
 from operator import or_
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core import Instance, SolveOutcome, connected_components
 from ..estimators import PathComponent, degree3_decomposition
@@ -110,57 +111,56 @@ def _path_options(
     t_set: Set[int],
     comp_of: Dict[int, int],
     remaining: Counter,
-) -> List[Tuple[List[int], Tuple[Set[int], ...], Counter]]:
-    """Admissible intersections of a solution with one path, each with the
-    groups of components its segments join and its color counts.
+    unit: Dict[int, int],
+) -> Tuple[List[Tuple[int, Tuple[Set[int], ...], Tuple[int, int]]], Dict[int, int]]:
+    """Admissible intersections of a solution with one path, as (color counts
+    packed with `unit`, groups of two or more components joined, (a, b)): the
+    first a and the last b vertices, so nothing, a prefix, a suffix or both;
+    and the most of each color any one of them takes.
 
     Every taken segment must touch the trace through a path end, since inner
     vertices have no neighbors outside the path.  A prefix plus a suffix is
     two segments: each joins its own end's components, and the gap between
     them keeps the two groups apart.
     """
-    verts = path.vertices
-    colors = [inst.coloring[v] for v in verts]
-    n = len(verts)
+    colors = [inst.coloring[v] for v in path.vertices]
+    n = len(colors)
     first_t = {comp_of[u] for u in path.first_attach if u in t_set}
     last_t = {comp_of[u] for u in path.last_attach if u in t_set}
-    options: List[Tuple[List[int], Tuple[Set[int], ...], Counter]] = [
-        ([], (), Counter())
-    ]
+    # Only a group of two or more components can join anything.
+    head, tail, whole = ((g,) if len(g) > 1 else () for g in (first_t, last_t, first_t | last_t))
+    options = [(0, (), (0, 0))]
+    most: Dict[int, int] = {}
 
-    def add(counts: Counter, i: int) -> bool:
-        """Count vertex i in; False once its color exceeds the remaining."""
-        c = colors[i]
-        counts[c] += 1
-        return counts[c] <= remaining[c]
+    def run(counts: Dict[int, int], packed: int, order: range) -> Iterator[Tuple[int, int]]:
+        """Yield (length, packed counts) for each leading part of `order`
+        that stays within `remaining`; `counts` ends as the last one's, the
+        run's most of each color, which `most` takes in."""
+        for length, i in enumerate(order, 1):
+            c = colors[i]
+            k = counts.get(c, 0) + 1
+            if k > remaining.get(c, 0):
+                break
+            counts[c] = k
+            packed += unit[c]
+            yield length, packed
+        for c, k in counts.items():
+            if k > most.get(c, 0):
+                most[c] = k
 
     if first_t:
-        counts = Counter()
-        for a in range(1, n + 1):
-            if not add(counts, a - 1):
-                break
-            touched = first_t | last_t if a == n else first_t
-            options.append((list(verts[:a]), (touched,), Counter(counts)))
+        for a, packed in run({}, 0, range(n)):
+            options.append((packed, whole if a == n else head, (a, 0)))
     if last_t:
-        counts = Counter()
-        for b in range(1, n + 1):
-            if not add(counts, n - b):
-                break
-            touched = last_t | first_t if b == n else last_t
-            options.append((list(verts[n - b :]), (touched,), Counter(counts)))
+        for b, packed in run({}, 0, range(n - 1, -1, -1)):
+            options.append((packed, whole if b == n else tail, (0, b)))
     if first_t and last_t:
         # Disjoint prefix + suffix with a gap of at least one vertex.
-        prefix_counts = Counter()
-        for a in range(1, n - 1):
-            if not add(prefix_counts, a - 1):
-                break
-            prefix, counts = list(verts[:a]), Counter(prefix_counts)
-            for b in range(1, n - a):
-                if not add(counts, n - b):
-                    break
-                both = prefix + list(verts[n - b :])
-                options.append((both, (first_t, last_t), Counter(counts)))
-    return options
+        both, prefix_counts = head + tail, {}
+        for a, prefix in run(prefix_counts, 0, range(n - 2)):
+            for b, packed in run(dict(prefix_counts), prefix, range(n - 1, a, -1)):
+                options.append((packed, both, (a, b)))
+    return options, most
 
 
 def _try_trace(
@@ -173,14 +173,15 @@ def _try_trace(
     # Remaining counts live in one int: per colour a field holding the count
     # and a guard bit above it.  Subtracting packed counts clears the guard
     # of every colour they overdraw and borrows nothing from the next field.
-    shift: Dict[int, int] = {}
+    unit: Dict[int, int] = {}
     guards = 0
     for c in sorted(remaining):
-        shift[c] = guards.bit_length()
-        guards |= 1 << (shift[c] + remaining[c].bit_length())
+        unit[c] = 1 << guards.bit_length()
+        guards |= unit[c] << remaining[c].bit_length()
 
-    def pack(counts: Counter) -> int:
-        return sum(m << shift[c] for c, m in counts.items())
+    def pack(counts: Dict[int, int]) -> int:
+        """Packed counts, each capped at the remaining."""
+        return sum(min(m, remaining[c]) * unit[c] for c, m in counts.items())
 
     def merge(
         partition: Tuple[int, ...], groups: Tuple[Set[int], ...]
@@ -193,16 +194,18 @@ def _try_trace(
                 partition = tuple(joined if p & joined else p for p in partition)
         return partition
 
-    options = [_path_options(inst, p, t_set, comp_of, remaining) for p in paths]
-    counts = [[c for _, _, c in o] for o in options]
-    # supply[i]: per colour, the most that paths i, i+1, ... can still add.
-    supply = [Counter()]
-    for path_counts in reversed(counts):
-        supply.insert(0, supply[0] + reduce(or_, path_counts))
+    built = [_path_options(inst, p, t_set, comp_of, remaining, unit) for p in paths]
+    # bounds[i]: per colour, the most that paths i+1, i+2, ... can still add.
+    bounds: List[int] = []
+    later: Dict[int, int] = {}
+    for _, most in reversed(built):
+        bounds.insert(0, 2 * guards + pack(later))
+        for c, k in most.items():
+            later[c] = later.get(c, 0) + k
 
     # Each layer maps a state (packed remaining counts, partition of the
     # trace's components, as the bitmask of each component's block) to its
-    # first producer: (parent state, option).
+    # first producer: (parent state, option's (a, b)).
     # `bound - new` keeps every guard iff no colour still needs more than the
     # later paths supply; a state failing that cannot reach the goal, while
     # every parent of one that can reaches it too, so dropping it keeps the
@@ -210,22 +213,17 @@ def _try_trace(
     State = Tuple[int, Tuple[int, ...]]
     start = (guards + pack(remaining), tuple(1 << i for i in range(n_comps)))
     states: Dict[State, object] = {start: None}
-    layers: List[Dict[State, Tuple[State, int]]] = []
-    for opts, path_counts, later in zip(options, counts, supply[1:]):
-        # Only a group of two or more components can join anything.
-        layer_steps = [
-            (pack(c), tuple(g for g in groups if len(g) > 1)) for _, groups, c in opts
-        ]
-        bound = 2 * guards + pack(later & remaining)
-        nxt: Dict[State, Tuple[State, int]] = {}
+    layers: List[Dict[State, Tuple[State, Tuple[int, int]]]] = []
+    for (options, _), bound in zip(built, bounds):
+        nxt: Dict[State, Tuple[State, Tuple[int, int]]] = {}
         for state in states:
             rem, partition = state
-            for idx, (delta, groups) in enumerate(layer_steps):
+            for delta, groups, taken in options:
                 new = rem - delta
                 if new & guards == guards and (bound - new) & guards == guards:
-                    key = (new, merge(partition, groups))
+                    key = (new, merge(partition, groups) if groups else partition)
                     if key not in nxt:
-                        nxt[key] = (state, idx)
+                        nxt[key] = (state, taken)
         if not nxt:
             return None
         layers.append(nxt)
@@ -235,7 +233,8 @@ def _try_trace(
     if state not in states:
         return None
     chosen: List[int] = []
-    for opts, layer in zip(reversed(options), reversed(layers)):
-        state, idx = layer[state]
-        chosen += opts[idx][0]
+    for path, layer in zip(reversed(paths), reversed(layers)):
+        state, (a, b) = layer[state]
+        verts = path.vertices
+        chosen += verts[:a] + verts[len(verts) - b :]
     return sorted(t_set) + chosen

@@ -568,6 +568,7 @@ class TestBench:
         rows = [line.split() for line in captured.out.splitlines()[1:]]
         assert [(r[0], r[2]) for r in rows] == [("a.gm", "YES"), ("b.gm", "ERR")]
         assert captured.err.startswith(f"error: {tmp_path / 'b.gm'}: cannot read ")
+        assert captured.err.count(str(tmp_path / "b.gm")) == 1
 
     def test_unknown_algo(self, tmp_path):
         (tmp_path / "a.gm").write_text(YES_TEXT)

@@ -4,8 +4,11 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from pathlib import Path
+from typing import Dict, List, Set, Tuple
 from unittest import mock
 
 import pytest
@@ -23,6 +26,7 @@ from motifkit.core import (
     verify_solution,
 )
 from motifkit.estimators import (
+    PathComponent,
     degree3_decomposition,
     dist_to_clique_set,
     greedy_vertex_clique_cover,
@@ -526,6 +530,66 @@ class TestSolveCycle:
         )
 
 
+def ref_path_options(
+    inst: Instance,
+    path: PathComponent,
+    t_set: Set[int],
+    comp_of: Dict[int, int],
+    remaining: Counter,
+) -> List[Tuple[List[int], Tuple[Set[int], ...], Counter]]:
+    """`max_leaf._path_options` with a vertex list and a `Counter` per
+    option: the admissible intersections of a solution with one path, each
+    with the groups of components its segments join and its color counts.
+
+    Every taken segment must touch the trace through a path end, since inner
+    vertices have no neighbors outside the path.  A prefix plus a suffix is
+    two segments: each joins its own end's components, and the gap between
+    them keeps the two groups apart.
+    """
+    verts = path.vertices
+    colors = [inst.coloring[v] for v in verts]
+    n = len(verts)
+    first_t = {comp_of[u] for u in path.first_attach if u in t_set}
+    last_t = {comp_of[u] for u in path.last_attach if u in t_set}
+    options: List[Tuple[List[int], Tuple[Set[int], ...], Counter]] = [
+        ([], (), Counter())
+    ]
+
+    def add(counts: Counter, i: int) -> bool:
+        """Count vertex i in; False once its color exceeds the remaining."""
+        c = colors[i]
+        counts[c] += 1
+        return counts[c] <= remaining[c]
+
+    if first_t:
+        counts = Counter()
+        for a in range(1, n + 1):
+            if not add(counts, a - 1):
+                break
+            touched = first_t | last_t if a == n else first_t
+            options.append((list(verts[:a]), (touched,), Counter(counts)))
+    if last_t:
+        counts = Counter()
+        for b in range(1, n + 1):
+            if not add(counts, n - b):
+                break
+            touched = last_t | first_t if b == n else last_t
+            options.append((list(verts[n - b :]), (touched,), Counter(counts)))
+    if first_t and last_t:
+        # Disjoint prefix + suffix with a gap of at least one vertex.
+        prefix_counts = Counter()
+        for a in range(1, n - 1):
+            if not add(prefix_counts, a - 1):
+                break
+            prefix, counts = list(verts[:a]), Counter(prefix_counts)
+            for b in range(1, n - a):
+                if not add(counts, n - b):
+                    break
+                both = prefix + list(verts[n - b :])
+                options.append((both, (first_t, last_t), Counter(counts)))
+    return options
+
+
 def ref_try_trace(inst, t_set, _remaining, paths):
     """`max_leaf._try_trace` with a list of chosen vertices per state and no
     supply bound: the DP the back-pointer version must reproduce.  It counts
@@ -560,7 +624,7 @@ def ref_try_trace(inst, t_set, _remaining, paths):
     start = (tuple([0] * len(color_order)), tuple(range(n_comps)))
     states = {start: []}
     for path in paths:
-        options = max_leaf._path_options(inst, path, t_set, comp_of, remaining)
+        options = ref_path_options(inst, path, t_set, comp_of, remaining)
         nxt = {}
         for (counts, partition), chosen in states.items():
             for seg, groups, _ in options:
@@ -685,6 +749,36 @@ class TestMaxLeafDP:
     @settings(max_examples=200, deadline=None)
     def test_same_witness_as_list_dp(self, inst):
         self.check_against_reference(inst)
+
+    @given(branching_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_packed_options_match_counter_options(self, inst):
+        # Same segments, joining groups and counts, in the same order, and
+        # per colour the most any one option takes.
+        s, paths = degree3_decomposition(inst.graph)
+        for t, remaining in iter_guesses(inst, sorted(s), inst.motif.as_counter()):
+            t_set = set(t)
+            comp_of = {
+                v: i
+                for i, comp in enumerate(connected_components(inst.graph, t_set))
+                for v in comp
+            }
+            unit = {c: 1 << (8 * i) for i, c in enumerate(sorted(remaining))}
+            for path in paths:
+                options, most = max_leaf._path_options(
+                    inst, path, t_set, comp_of, remaining, unit
+                )
+                ref = ref_path_options(inst, path, t_set, comp_of, remaining)
+                n = len(path.vertices)
+                assert [
+                    (list(path.vertices[:a] + path.vertices[n - b :]), groups, packed)
+                    for packed, groups, (a, b) in options
+                ] == [
+                    (seg, tuple(g for g in groups if len(g) > 1),
+                     sum(m * unit[c] for c, m in counts.items()))
+                    for seg, groups, counts in ref
+                ], t
+                assert Counter(most) == reduce(or_, [c for _, _, c in ref]), t
 
     @given(branching_instances())
     @settings(max_examples=200, deadline=None)
