@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import importlib
 import os
 import signal
 import sys
@@ -415,9 +414,6 @@ def _bench_cell(job: Tuple[str, str, float]) -> Tuple[str, str, str, float, str]
         inst, _ = parse_reduced(_read_text(path, "file"))
     except InputError as exc:
         return path, algo, "ERR", 0.0, str(exc)
-    # Loaded before the timer is armed: an alarm inside NumPy's first import
-    # leaves it half-loaded, and every later import of it in this process fails.
-    importlib.import_module("numpy")
     structure: Structure = None
     if algo == "vcc":
         structure = greedy_vertex_clique_cover(inst.graph)

@@ -1,24 +1,29 @@
-"""Colored Set Cover with Thresholds, solved by a bitmask dynamic program.
+"""Colored Set Cover with Thresholds, solved by a dynamic program over subsets.
 
-The table T[U, j] holds the minimum number of sets of the current color
-class, among subfamilies of the first j sets that cover U and respect the
-thresholds of the earlier classes.  One take/discard bit per entry allows
-O(nm) reconstruction of an actual solution.
+With the sets sorted by color, T[U, j] is the fewest sets of set j's color
+class, among subfamilies of sets 0..j that cover U and respect the earlier
+classes' thresholds, or infinite.  Before set 0 only T[{}] = 0 is finite.
+The first set S_j of a class gives T[U, j] = 0 where T[U, j-1] is finite,
+else 1 where T[U - S_j, j-1] is; a later one gives the minimum of T[U, j-1]
+and T[U - S_j, j-1] + 1, the latter only up to the threshold.  Take bits mark
+the entries that use S_j; read back from the full set at the last level,
+they give the solution.  Only the entries that read-out can depend on are
+filled (each U and U - S_j of the level above), as a dict of finite entries
+and a set of take bits per level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .core import CapacityError, InputError
 
-# Cap on the DP's memory.  Per subset of the universe it holds one `take`
-# flag for each set, the int64 subset id and the int32/bool working arrays
-# of one step (measured peak: m + 44 bytes).
-MAX_TABLE_BYTES = 1 << 30
-_BYTES_PER_SUBSET = 48
-_INF = (1 << 30) - 1  # half the int32 maximum, so _INF + 1 does not overflow
+# Cap on the DP's memory.  A state is one (set, subset) pair: a needed key, a
+# count and a take bit.  The measured peak is at most 17 bytes a state for
+# n of 10-14; 49 also refuses every n and m >= 1 with (m + 48) << n over it.
+MAX_STATE_BYTES = 1 << 30
+BYTES_PER_STATE = 49
 
 
 @dataclass(frozen=True)
@@ -49,66 +54,59 @@ class CsctSolution:
 def solve_csct(inst: CsctInstance) -> Optional[CsctSolution]:
     """Feasible threshold-respecting cover of the full ground set, or None."""
     m = len(inst.sets)
-    table_bytes = (m + _BYTES_PER_SUBSET) << inst.n
-    if table_bytes > MAX_TABLE_BYTES:
+    state_bytes = (m * BYTES_PER_STATE) << inst.n
+    if state_bytes > MAX_STATE_BYTES:
         raise CapacityError(
-            f"universe of {inst.n} elements with {m} sets needs about "
-            f"{table_bytes >> 20} MiB of tables, over {MAX_TABLE_BYTES >> 20} MiB"
+            f"universe of {inst.n} elements with {m} sets needs up to "
+            f"{state_bytes >> 20} MiB of DP states, over {MAX_STATE_BYTES >> 20} MiB"
         )
-    if inst.n == 0:
-        return CsctSolution(())
-    if m == 0:
+    if len(set().union(*(elems for _, elems in inst.sets))) < inst.n:
         return None
-    import numpy as np  # loaded only once the DP runs, as in `core._read_kept`
-
-    # Reorder so sets of the same color appear consecutively; remember the
-    # original indices for the reconstructed answer.
     order = sorted(range(m), key=lambda j: (inst.sets[j][0], j))
     colors = [inst.sets[j][0] for j in order]
-    masks = [
-        sum(1 << e for e in set(inst.sets[j][1])) for j in order
-    ]
-    assert all(colors[i] <= colors[i + 1] for i in range(m - 1))
+    masks = [sum(1 << e for e in set(inst.sets[j][1])) for j in order]
 
-    size = 1 << inst.n
-    universe = np.arange(size, dtype=np.int64)
-    take = np.zeros((m, size), dtype=bool)
+    # The subsets each level's read-out can depend on, last level first.
+    full = (1 << inst.n) - 1
+    keys = {full}
+    needed = [[full]]
+    for mask in masks[:0:-1]:
+        keep = ~mask
+        keys |= {u & keep for u in keys}
+        needed.append(list(keys))
 
-    # Base case: only S_1 available.  Covering the empty set needs no set at
-    # all, which the stated base would report as 1; start it at 0 instead so
-    # later same-color additions are not over-counted.
-    col = np.full(size, _INF, dtype=np.int32)
-    covered = (universe & ~np.int64(masks[0])) == 0
-    col[covered] = 1
-    take[0, covered] = True
-    col[0] = 0
-    take[0, 0] = False
-
-    for j in range(1, m):
-        sub = universe & ~np.int64(masks[j])
-        prev_sub = col[sub]
-        if colors[j] != colors[j - 1]:
-            # First set of a new color class: previous counts reset to 0/inf.
-            feasible_prev = col < _INF
-            new = np.full(size, _INF, dtype=np.int32)
-            new[feasible_prev] = 0
-            add = (~feasible_prev) & (prev_sub < _INF)
-            new[add] = 1
-            take[j] = add
-            col = new
+    counts: Dict[int, int] = {0: 0}
+    takes: List[Set[int]] = []
+    for j, (mask, color) in enumerate(zip(masks, colors)):
+        keep = ~mask
+        level: Dict[int, int] = {}
+        take: Set[int] = set()
+        if j == 0 or color != colors[j - 1]:
+            for u in needed.pop():
+                if u in counts:
+                    level[u] = 0
+                elif u & keep in counts:
+                    level[u] = 1
+                    take.add(u)
         else:
-            a = inst.thresholds[colors[j]]
-            added = np.where(prev_sub < a, prev_sub + 1, _INF).astype(np.int32)
-            take[j] = added < col
-            col = np.minimum(col, added)
+            a = inst.thresholds[color]
+            for u in needed.pop():
+                old = counts.get(u)
+                added = counts.get(u & keep, a) + 1
+                if added <= a and (old is None or added < old):
+                    level[u] = added
+                    take.add(u)
+                elif old is not None:
+                    level[u] = old
+        counts = level
+        takes.append(take)
 
-    if col[size - 1] >= _INF:
+    if full not in counts:
         return None
-
     chosen: List[int] = []
-    u = size - 1
+    u = full
     for j in range(m - 1, -1, -1):
-        if take[j, u]:
+        if u in takes[j]:
             chosen.append(order[j])
             u &= ~masks[j]
     assert u == 0

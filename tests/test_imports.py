@@ -1,7 +1,7 @@
 """Every name a motifkit module imports is used in that module, every
 function, class and method the package defines is used somewhere in it, and
 the modules that build corpora, and a one-shot command on a file below the
-twin reader's edge count that runs no set-cover DP, do not load NumPy."""
+twin reader's edge count, do not load NumPy."""
 
 import ast
 import os
@@ -13,8 +13,11 @@ from pathlib import Path
 import pytest
 
 import motifkit
+from motifkit import cli
 from motifkit.core import format_instance
+from motifkit.csct import solve_csct
 from motifkit.generators import SetSystem, gen_hitting_set_split
+from motifkit.solvers import dist_clique
 
 PACKAGE = Path(motifkit.__file__).resolve().parent
 
@@ -159,7 +162,7 @@ def test_core_and_generators_do_not_load_numpy():
 )
 def test_a_small_solve_does_not_load_numpy(tmp_path, algo, cover):
     # A file below `TWIN_READER_MIN_EDGES` edges goes to the line parser,
-    # and these solvers run no `csct` DP, the one other user of NumPy.
+    # and the block reader is the only user of NumPy.
     instance = tmp_path / "path.gm"
     instance.write_text(
         "p gm 4 3\ne 0 1\ne 1 2\ne 2 3\nc 0 0\nc 1 1\nc 2 0\nc 3 1\n"
@@ -173,22 +176,44 @@ def test_a_small_solve_does_not_load_numpy(tmp_path, algo, cover):
     assert exit_code_and_numpy_loaded(argv) == "0 False"
 
 
-@pytest.mark.parametrize(
-    "command",
-    [["solve", "--algo", "maxleaf"], ["solve", "--algo", "vc"], ["params", "--limit", "3"]],
-    ids=["solve-maxleaf", "solve-vc", "params-limit-3"],
-)
-def test_a_300_edge_command_does_not_load_numpy(tmp_path, command):
-    # Shaped like the 300-edge clique-hs files of the auto-mixed corpus: a
-    # 24-vertex element clique and eight sets of three.
+def clique_hs_300(tmp_path):
+    """A file shaped like the 300-edge clique-hs files of the auto-mixed
+    corpus: a 24-vertex element clique and eight sets of three."""
     sets = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11),
             (0, 3, 6), (1, 4, 9), (2, 7, 10), (5, 8, 11)]
     inst = gen_hitting_set_split(SetSystem(24, tuple(sets), 4)).instance
     assert inst.graph.num_edges() == 300
     instance = tmp_path / "clique-hs.gm"
     instance.write_text(format_instance(inst))
-    argv = [command[0], str(instance), *command[1:]]
+    return instance
+
+
+SOLVES_WITH_CSCT = [["solve"], ["solve", "--algo", "dist-clique"]]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["solve", "--algo", "maxleaf"], ["solve", "--algo", "vc"], ["params", "--limit", "3"],
+     *SOLVES_WITH_CSCT],
+    ids=["solve-maxleaf", "solve-vc", "params-limit-3", "solve-auto", "solve-dist-clique"],
+)
+def test_a_300_edge_command_does_not_load_numpy(tmp_path, command):
+    argv = [command[0], str(clique_hs_300(tmp_path)), *command[1:]]
     assert exit_code_and_numpy_loaded(argv) == "0 False"
+
+
+@pytest.mark.parametrize("command", SOLVES_WITH_CSCT, ids=["solve-auto", "solve-dist-clique"])
+def test_the_300_edge_solves_run_the_set_cover_dp(tmp_path, monkeypatch, command):
+    # The NumPy check above covers the set-cover DP only if these solves reach it.
+    calls = []
+
+    def counted(inst):
+        calls.append(inst.n)
+        return solve_csct(inst)
+
+    monkeypatch.setattr(dist_clique, "solve_csct", counted)
+    assert cli.main([command[0], str(clique_hs_300(tmp_path)), *command[1:]]) == 0
+    assert calls
 
 
 def exit_code_and_numpy_loaded(argv):
